@@ -18,17 +18,9 @@ from .errors import IntegrationError, NoConvergence, SurfquadError
 from .interp import cheb_lebesgue, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
 from .refmesh import bisect, generate_base, mesh_size, write_off
-from .surfaces import parse_surface
+from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, parse_surface
 
 _MODES = {"exact": MODE_EXACT, "interp": MODE_INTERP}
-
-
-def _default_threads() -> int:
-    env = os.environ.get("SURFQUAD_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _ranged_int(name, lo, hi):
@@ -61,14 +53,15 @@ def _add_common(p, *, levels_default=3, with_k=True):
     p.add_argument("--rule-degree", type=_ranged_int("--rule-degree", 1, 12),
                    default=12, help="quadrature degree (default 12)")
     p.add_argument("--threads", type=_ranged_int("--threads", 1, 64),
-                   default=_default_threads(),
+                   default=os.environ.get("SURFQUAD_THREADS", "1"),
                    help="worker threads for the element loop "
                         "(default $SURFQUAD_THREADS or 1)")
-    p.add_argument("--proj-tol", type=float, default=1e-13,
-                   help="closest-point projection tolerance (default 1e-13)")
+    p.add_argument("--proj-tol", type=float, default=DEFAULT_TOL,
+                   help=f"closest-point projection tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--proj-max-iter", type=_ranged_int("--proj-max-iter", 1, 500),
-                   default=50,
-                   help="closest-point projection iteration budget (default 50)")
+                   default=DEFAULT_MAX_ITER,
+                   help="closest-point projection iteration budget "
+                        f"(default {DEFAULT_MAX_ITER})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateJacobian, IntegrationError, NoConvergence
+from .errors import DegenerateJacobian, IntegrationError, NoConvergence, OutsideTube
 from .interp import LagrangeBasis, lagrange_basis
 from .refmesh import FlatMesh
 from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface, project_many
@@ -47,6 +47,41 @@ def affine_chart_points(flat_tri: np.ndarray, ref_pts: np.ndarray) -> np.ndarray
     return q1 + (q3 - q1) * s + (q2 - q1) * t
 
 
+_CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
+
+
+def _basis_tables(basis: LagrangeBasis, ref_pts) -> tuple:
+    """Basis values and their d/ds, d/dt at (q, 2) reference points, each (q, N)."""
+    ds, dt = basis.eval_grad(ref_pts)
+    return basis.eval(ref_pts), ds, dt
+
+
+def _chart_metric(tables: tuple, nodes: np.ndarray):
+    """Chart points and d/ds, d/dt Jacobian columns, each (C, q, 3), and the
+    metric determinant det(J^T J) (C, q) of (C, N, 3) element nodes."""
+    L, Ls, Lt = tables
+    pts = np.einsum("qn,cnd->cqd", L, nodes)
+    js = np.einsum("qn,cnd->cqd", Ls, nodes)
+    jt = np.einsum("qn,cnd->cqd", Lt, nodes)
+    ee = np.einsum("cqd,cqd->cq", js, js)
+    gg = np.einsum("cqd,cqd->cq", jt, jt)
+    ff = np.einsum("cqd,cqd->cq", js, jt)
+    return pts, js, jt, ee * gg - ff * ff
+
+
+def _folded_charts(surface: ImplicitSurface, centroid_tables: tuple,
+                  nodes: np.ndarray, flat_tris: np.ndarray) -> np.ndarray:
+    """(C,) mask of charts that fold at the centroid: the curved chart flips
+    against the normal relative to the (C, 3, 3) flat triangles."""
+    pts, js, jt, det = _chart_metric(centroid_tables, nodes)
+    normals = np.asarray(surface.grad_phi(pts[:, 0]), dtype=float)
+    flat_cross = np.cross(flat_tris[:, 2] - flat_tris[:, 0],
+                          flat_tris[:, 1] - flat_tris[:, 0])
+    orient = (np.einsum("cd,cd->c", np.cross(js[:, 0], jt[:, 0]), normals)
+              * np.einsum("cd,cd->c", flat_cross, normals))
+    return (orient <= 0.0) | (det[:, 0] <= 0.0)
+
+
 def build_element(surface: ImplicitSurface, flat_tri, degree: int,
                   basis: Optional[LagrangeBasis] = None,
                   tol: float = DEFAULT_TOL,
@@ -63,40 +98,24 @@ def build_element(surface: ImplicitSurface, flat_tri, degree: int,
         raise NoConvergence(exc.iterations, exc.residual,
                             f"projection failed for element node(s) {exc.indices}: "
                             f"{exc}", indices=exc.indices) from exc
-    elem = CurvedElement(degree=degree, flat_vertices=flat_tri,
-                         projected_nodes=projected, basis=basis)
-    _check_orientation(surface, elem)
-    return elem
-
-
-def _check_orientation(surface: ImplicitSurface, elem: CurvedElement,
-                       face: Optional[int] = None) -> None:
-    """A folded chart flips against the flat parametrization's orientation."""
-    sample = chart_eval(elem, np.array([1.0 / 3.0, 1.0 / 3.0]), _check=False)
-    cross = np.cross(sample.jacobian[:, 0], sample.jacobian[:, 1])
-    normal = np.asarray(surface.grad_phi(sample.point), dtype=float)
-    q1, q2, q3 = elem.flat_vertices
-    flat_cross = np.cross(q3 - q1, q2 - q1)
-    if float(cross @ normal) * float(flat_cross @ normal) <= 0.0 or sample.g <= 0.0:
-        where = "" if face is None else f" (face {face})"
+    if _folded_charts(surface, _basis_tables(basis, _CENTROID), projected[None],
+                     flat_tri[None])[0]:
         raise DegenerateJacobian(
-            f"curved chart is not orientation-preserving{where}; mesh too coarse")
+            "curved chart is not orientation-preserving; mesh too coarse")
+    return CurvedElement(degree=degree, flat_vertices=flat_tri,
+                         projected_nodes=projected, basis=basis)
 
 
-def chart_eval(elem: CurvedElement, ref_pt, _check: bool = True) -> MetricSample:
+def chart_eval(elem: CurvedElement, ref_pt) -> MetricSample:
     """Chart point, Jacobian and metric factor at one reference point."""
-    ref = np.asarray(ref_pt, dtype=float)[None, :]
-    L = elem.basis.eval(ref)[0]
-    ds, dt = elem.basis.eval_grad(ref)
-    point = L @ elem.projected_nodes
-    jac = np.column_stack([ds[0] @ elem.projected_nodes,
-                           dt[0] @ elem.projected_nodes])
-    gram = jac.T @ jac
-    det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
-    if _check and det <= 0.0:
+    pts, js, jt, det = _chart_metric(_basis_tables(elem.basis, ref_pt),
+                                    elem.projected_nodes[None])
+    det = float(det[0, 0])
+    if det <= 0.0:
         raise DegenerateJacobian(f"metric determinant {det:.3e} <= 0")
-    g = float(np.sqrt(max(det, 0.0)))
-    return MetricSample(point=point, jacobian=jac, g=g)
+    return MetricSample(point=pts[0, 0],
+                        jacobian=np.column_stack([js[0, 0], jt[0, 0]]),
+                        g=float(np.sqrt(det)))
 
 
 def element_diameter(elem: CurvedElement) -> float:
@@ -221,20 +240,24 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface, degree: int
     try:
         projected, _, _, _ = project_many(surface, flat_nodes, tol=tol,
                                           max_iter=max_iter)
-    except NoConvergence as exc:
+    except (NoConvergence, OutsideTube) as exc:
         raise IntegrationError(_locate_failures(node_index, exc)) from exc
     return ElementBatch(degree=degree, basis=basis, mesh=mesh,
                         node_index=node_index, unique_nodes=projected)
 
 
-def _locate_failures(node_index: np.ndarray, exc: NoConvergence):
+def _locate_failures(node_index: np.ndarray, exc):
     """Attribute failing unique-node indices to (face, local node) pairs."""
     failures = []
     for uid in exc.indices[:50]:
         faces, locals_ = np.nonzero(node_index == uid)
         if len(faces):
-            failures.append((int(faces[0]), NoConvergence(
-                exc.iterations, exc.residual,
-                f"node {int(locals_[0])} did not converge "
-                f"(residual {exc.residual:.3e})")))
+            node = int(locals_[0])
+            if isinstance(exc, NoConvergence):
+                sub = NoConvergence(exc.iterations, exc.residual,
+                                    f"node {node} did not converge "
+                                    f"(residual {exc.residual:.3e})")
+            else:
+                sub = OutsideTube(f"node {node}: {exc}")
+            failures.append((int(faces[0]), sub))
     return failures or [(-1, exc)]

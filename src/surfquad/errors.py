@@ -21,6 +21,10 @@ class NoConvergence(SurfquadError):
 class OutsideTube(SurfquadError):
     """Seed point rejected: the projection is not well defined there."""
 
+    def __init__(self, message, indices=None):
+        self.indices = list(indices) if indices is not None else []
+        super().__init__(message)
+
 
 class DegeneratePoint(SurfquadError):
     """Curvature requested at a point where the formula is singular."""

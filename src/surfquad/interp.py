@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, IllConditionedWarning
 
 EULER_GAMMA = 0.5772156649015329
 
-_COND_LIMIT = 1e12
+COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,13 @@ def reference_nodes(degree: int) -> ReferenceNodeSet:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     k = degree
-    vertices, edges, interior = [], [], []
+    edges, interior = [], []
     for i in range(k + 1):
         for j in range(k + 1 - i):
             zero = (i == 0) + (j == 0) + (i + j == k)
-            if zero == 2:
-                vertices.append((i, j))
-            elif zero == 1:
+            if zero == 1:
                 edges.append((i, j))
-            else:
+            elif zero == 0:
                 interior.append((i, j))
     # fixed vertex order (0,0), (0,1), (1,0); lexicographic (s, t) elsewhere
     vertices = [(0, 0), (0, k), (k, 0)]
@@ -93,7 +91,7 @@ class LagrangeBasis:
         return self.node_set.nodes
 
     def _check_condition(self):
-        if self.condition > _COND_LIMIT:
+        if self.condition > COND_LIMIT:
             warnings.warn(
                 f"degree-{self.degree} equidistant basis is ill-conditioned "
                 f"(cond ~ {self.condition:.2e})", IllConditionedWarning,

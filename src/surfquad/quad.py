@@ -17,13 +17,17 @@ from typing import Callable
 import numpy as np
 
 from . import quadrules
-from .curved import ElementBatch, CurvedElement, build_surface_elements
+from .curved import (_CENTROID, CurvedElement, ElementBatch, _basis_tables,
+                     _chart_metric, _folded_charts, build_surface_elements)
 from .errors import DegenerateJacobian, IntegrationError, UnsupportedDegree
 from .refmesh import FlatMesh
 from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface
 
 MODE_EXACT = "exact_f"
 MODE_INTERP = "interp_f"
+
+# elements per vectorized block of the surface assembly
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -100,67 +104,55 @@ def _canonical_order(mesh: FlatMesh) -> np.ndarray:
     return np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
 
 
+def _nodal_values(mode: str, f: Callable, nodes: np.ndarray):
+    """f at the projected nodes in interp mode; None in exact mode."""
+    if mode not in (MODE_EXACT, MODE_INTERP):
+        raise ValueError(f"unknown integration mode {mode!r}")
+    return np.asarray(f(nodes), dtype=float) if mode == MODE_INTERP else None
+
+
+def _chart_integrals(tables: tuple, weights: np.ndarray, nodes: np.ndarray,
+                     f: Callable, f_nodal: np.ndarray | None):
+    """Integrals of f over (C, N, 3) element nodes (from ``f_nodal`` if given)
+    and the (C,) mask of elements with metric determinant <= 0."""
+    pts, _, _, det = _chart_metric(tables, nodes)
+    degenerate = np.any(det <= 0.0, axis=1)
+    metric = np.sqrt(np.maximum(det, 0.0))
+    if f_nodal is None:
+        fvals = np.asarray(f(pts), dtype=float)
+        if fvals.shape != pts.shape[:-1]:
+            fvals = np.broadcast_to(fvals, pts.shape[:-1])
+    else:
+        fvals = np.einsum("qn,cn->cq", tables[0], f_nodal)
+    return (fvals * metric) @ weights, degenerate
+
+
 def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
                     f: Callable, surface: ImplicitSurface,
-                    chunk: int = 512, threads: int = 1) -> np.ndarray:
+                    threads: int = 1) -> np.ndarray:
     """Per-element integral values, vectorized over chunks of elements."""
-    basis = batch.basis
-    L = basis.eval(rule.points)                   # (q, N)
-    Ls, Lt = basis.eval_grad(rule.points)         # (q, N) each
-    w = rule.weights
-    centroid_L = basis.eval(np.array([[1.0 / 3.0, 1.0 / 3.0]]))[0]
-    centroid_s, centroid_t = basis.eval_grad(np.array([[1.0 / 3.0, 1.0 / 3.0]]))
-
-    if mode == MODE_INTERP:
-        f_nodal_unique = np.asarray(f(batch.unique_nodes), dtype=float)
-    elif mode != MODE_EXACT:
-        raise ValueError(f"unknown integration mode {mode!r}")
+    f_nodal_unique = _nodal_values(mode, f, batch.unique_nodes)
+    tables = _basis_tables(batch.basis, rule.points)
+    centroid_tables = _basis_tables(batch.basis, _CENTROID)
 
     out = np.empty(batch.n_elements)
     failures: list[tuple[int, Exception]] = []
 
     def run_chunk(lo: int) -> None:
-        hi = min(lo + chunk, batch.n_elements)
+        hi = min(lo + _CHUNK, batch.n_elements)
         nodes = batch.element_nodes(slice(lo, hi))           # (C, N, 3)
-        pts = np.einsum("qn,cnd->cqd", L, nodes)
-        js = np.einsum("qn,cnd->cqd", Ls, nodes)
-        jt = np.einsum("qn,cnd->cqd", Lt, nodes)
-        ee = np.einsum("cqd,cqd->cq", js, js)
-        gg = np.einsum("cqd,cqd->cq", jt, jt)
-        ff = np.einsum("cqd,cqd->cq", js, jt)
-        det = ee * gg - ff * ff
-        if np.any(det <= 0.0):
-            for ci in np.flatnonzero(np.any(det <= 0.0, axis=1)):
-                failures.append((lo + int(ci),
-                                 DegenerateJacobian("metric determinant <= 0")))
-            det = np.maximum(det, 0.0)
-        metric = np.sqrt(det)
+        f_nodal = (None if f_nodal_unique is None
+                   else f_nodal_unique[batch.node_index[lo:hi]])
+        out[lo:hi], degenerate = _chart_integrals(tables, rule.weights, nodes,
+                                                  f, f_nodal)
+        tris = batch.mesh.vertices[batch.mesh.faces[lo:hi]]
+        folded = _folded_charts(surface, centroid_tables, nodes, tris)
+        for mask, why in ((degenerate, "metric determinant <= 0"),
+                          (folded, "chart folds against the normal")):
+            failures.extend((lo + int(ci), DegenerateJacobian(why))
+                            for ci in np.flatnonzero(mask))
 
-        # orientation sanity at the centroid: a folded chart flips relative to
-        # the flat parametrization of the same face
-        c_pt = np.einsum("n,cnd->cd", centroid_L, nodes)
-        c_js = np.einsum("n,cnd->cd", centroid_s[0], nodes)
-        c_jt = np.einsum("n,cnd->cd", centroid_t[0], nodes)
-        normals = np.asarray(surface.grad_phi(c_pt), dtype=float)
-        tri = batch.mesh.vertices[batch.mesh.faces[lo:hi]]
-        flat_cross = np.cross(tri[:, 2] - tri[:, 0], tri[:, 1] - tri[:, 0])
-        orient = (np.einsum("cd,cd->c", np.cross(c_js, c_jt), normals)
-                  * np.einsum("cd,cd->c", flat_cross, normals))
-        if np.any(orient <= 0.0):
-            for ci in np.flatnonzero(orient <= 0.0):
-                failures.append((lo + int(ci),
-                                 DegenerateJacobian("chart folds against the normal")))
-
-        if mode == MODE_EXACT:
-            fvals = np.asarray(f(pts), dtype=float)
-            if fvals.shape != pts.shape[:-1]:
-                fvals = np.broadcast_to(fvals, pts.shape[:-1])
-        else:
-            f_nodal = f_nodal_unique[batch.node_index[lo:hi]]   # (C, N)
-            fvals = np.einsum("qn,cn->cq", L, f_nodal)
-        out[lo:hi] = (fvals * metric) @ w
-
-    starts = range(0, batch.n_elements, chunk)
+    starts = range(0, batch.n_elements, _CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, starts))
@@ -177,27 +169,13 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
 def integrate_element(elem: CurvedElement, f: Callable, rule: QuadratureRule,
                       mode: str = MODE_EXACT) -> float:
     """Integral of f over a single curved element."""
-    basis = elem.basis
-    L = basis.eval(rule.points)
-    Ls, Lt = basis.eval_grad(rule.points)
-    pts = np.einsum("qn,nd->qd", L, elem.projected_nodes)
-    js = Ls @ elem.projected_nodes
-    jt = Lt @ elem.projected_nodes
-    det = (np.einsum("qd,qd->q", js, js) * np.einsum("qd,qd->q", jt, jt)
-           - np.einsum("qd,qd->q", js, jt) ** 2)
-    if np.any(det <= 0.0):
+    nodes = elem.projected_nodes[None]
+    value, degenerate = _chart_integrals(_basis_tables(elem.basis, rule.points),
+                                         rule.weights, nodes, f,
+                                         _nodal_values(mode, f, nodes))
+    if degenerate[0]:
         raise DegenerateJacobian("metric determinant <= 0 at a quadrature point")
-    metric = np.sqrt(det)
-    if mode == MODE_EXACT:
-        fvals = np.asarray(f(pts), dtype=float)
-        if fvals.shape != (len(pts),):
-            fvals = np.broadcast_to(fvals, (len(pts),))
-    elif mode == MODE_INTERP:
-        nodal = np.asarray(f(elem.projected_nodes), dtype=float)
-        fvals = L @ nodal
-    else:
-        raise ValueError(f"unknown integration mode {mode!r}")
-    return float((fvals * metric) @ rule.weights)
+    return float(value[0])
 
 
 def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,

@@ -17,16 +17,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InsufficientData, StagnationWarning
-from .interp import lagrange_basis
+from .interp import COND_LIMIT, lagrange_basis
 from .quad import (MODE_INTERP, QuadratureRule, builtin_rule, constant_one,
                    integrate_surface)
 from .refmesh import FlatMesh, bisect, generate_base, mesh_size, project_vertices
-from .surfaces import ImplicitSurface, surface_area_exact
+from .surfaces import (DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface,
+                       surface_area_exact)
 
 ERROR_FLOOR = 1e-13
-
-COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -96,8 +94,8 @@ def run_convergence(surface: ImplicitSurface, kind: str, resolution: int, k: int
                     f_name: str, levels: int, mode: str = MODE_INTERP,
                     rule: Optional[QuadratureRule] = None, threads: int = 1,
                     reproject_vertices: bool = False,
-                    project_tol: float = 1e-13,
-                    project_max_iter: int = 50) -> ConvergenceReport:
+                    project_tol: float = DEFAULT_TOL,
+                    project_max_iter: int = DEFAULT_MAX_ITER) -> ConvergenceReport:
     """Refine ``levels`` times from one shared base mesh and tabulate errors."""
     if rule is None:
         rule = builtin_rule(12)
@@ -138,8 +136,8 @@ def run_convergence(surface: ImplicitSurface, kind: str, resolution: int, k: int
 
 def run_runge(surface: ImplicitSurface, mesh: FlatMesh, k_range, f_name: str,
               mode: str = MODE_INTERP, rule: Optional[QuadratureRule] = None,
-              threads: int = 1, project_tol: float = 1e-13,
-              project_max_iter: int = 50) -> RungeReport:
+              threads: int = 1, project_tol: float = DEFAULT_TOL,
+              project_max_iter: int = DEFAULT_MAX_ITER) -> RungeReport:
     """Sweep the element degree on one fixed mesh (equidistant nodes)."""
     ks = sorted(set(int(k) for k in k_range))
     if any(k < 1 or k > 12 for k in ks):

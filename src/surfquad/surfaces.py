@@ -78,7 +78,8 @@ def sphere(radius: float = 1.0) -> ImplicitSurface:
         p = np.asarray(p, dtype=float)
         norms = np.linalg.norm(p, axis=-1)
         if np.any(norms == 0.0):
-            raise OutsideTube("cannot project the sphere center")
+            raise OutsideTube("cannot project the sphere center",
+                              indices=np.flatnonzero(norms == 0.0))
         return p * (radius / norms)[..., None]
 
     def hess(p):
@@ -136,7 +137,8 @@ def torus(major_radius: float = 2.0, minor_radius: float = 1.0) -> ImplicitSurfa
         p = np.asarray(p, dtype=float)
         rho = np.hypot(p[..., 0], p[..., 1])
         if np.any(rho == 0.0):
-            raise OutsideTube("projection undefined on the torus axis")
+            raise OutsideTube("projection undefined on the torus axis",
+                              indices=np.flatnonzero(rho == 0.0))
         center = np.empty_like(p)
         center[..., 0] = R * p[..., 0] / rho
         center[..., 1] = R * p[..., 1] / rho
@@ -144,7 +146,8 @@ def torus(major_radius: float = 2.0, minor_radius: float = 1.0) -> ImplicitSurfa
         v = p - center
         vnorm = np.linalg.norm(v, axis=-1)
         if np.any(vnorm == 0.0):
-            raise OutsideTube("projection undefined on the torus center circle")
+            raise OutsideTube("projection undefined on the torus center circle",
+                              indices=np.flatnonzero(vnorm == 0.0))
         return center + v * (r / vnorm)[..., None]
 
     return ImplicitSurface(
@@ -309,12 +312,13 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     for _ in range(_FLOW_STEPS):
         g = surface.grad_phi(y)
         g2 = np.einsum("ij,ij->i", g, g)
-        if np.any(g2 <= 1e-300 * scale * scale):
+        vanishing = g2 <= 1e-300 * scale * scale
+        if np.any(vanishing):
             bad = int(np.argmin(g2))
             raise OutsideTube(
                 f"vanishing level-set gradient at seed point {pts[bad]} "
-                "(point outside the projectable tube)"
-            )
+                "(point outside the projectable tube)",
+                indices=np.flatnonzero(vanishing))
         y -= (surface.phi(y) / g2)[:, None] * g
 
     g = surface.grad_phi(y)

@@ -165,3 +165,12 @@ class TestDeterminism:
         args = parser.parse_args(
             "integrate --surface sphere:R=1 --kind octa_sphere".split())
         assert args.threads == 3
+
+    @pytest.mark.parametrize("value", ["0", "65", "abc"])
+    def test_invalid_env_threads_exits_2(self, monkeypatch, value):
+        monkeypatch.setenv("SURFQUAD_THREADS", value)
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(
+                "integrate --surface sphere:R=1 --kind octa_sphere".split())
+        assert exc.value.code == 2

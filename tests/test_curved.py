@@ -5,7 +5,7 @@ import pytest
 
 import surfquad as sq
 from surfquad.curved import affine_chart_points, build_surface_elements
-from surfquad.errors import DegenerateJacobian, IntegrationError
+from surfquad.errors import DegenerateJacobian, IntegrationError, OutsideTube
 from surfquad.refmesh import FlatMesh
 
 
@@ -109,6 +109,13 @@ class TestChartEval:
         tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(DegenerateJacobian):
             sq.build_element(surf, tri, 1)
+        mesh = FlatMesh(tri, np.array([[0, 1, 2]]))
+        with pytest.raises(IntegrationError) as err:
+            sq.integrate_surface(mesh, surf, lambda p: np.ones(p.shape[:-1]), 1,
+                                 sq.builtin_rule(4))
+        assert {face for face, _ in err.value.failures} == {0}
+        assert all(isinstance(e, DegenerateJacobian)
+                   for _, e in err.value.failures)
 
 
 class TestElementDiameter:
@@ -209,3 +216,23 @@ class TestFailureAttribution:
         face, sub = err.value.failures[0]
         assert face >= 0
         assert "node" in str(sub)
+
+    @pytest.mark.parametrize("surface", [sq.sphere(1.0),
+                                         sq.ellipsoid(1.0, 1.0, 0.6)],
+                             ids=["sphere", "ellipsoid"])
+    def test_outside_tube_names_face_and_node(self, surface):
+        # the k=2 node on the edge (1,0,0)-(-1,0,0) is the origin, where the
+        # closed-form projection and the Newton seed are both undefined
+        tri = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        mesh = FlatMesh(tri, np.array([[0, 1, 2]]))
+        calls = [lambda: build_surface_elements(mesh, surface, 2),
+                 lambda: sq.integrate_surface(mesh, surface,
+                                              lambda p: np.ones(p.shape[:-1]),
+                                              2, sq.builtin_rule(4))]
+        for call in calls:
+            with pytest.raises(IntegrationError) as err:
+                call()
+            face, sub = err.value.failures[0]
+            assert face == 0
+            assert isinstance(sub, OutsideTube)
+            assert "node 3" in str(sub)     # first edge node, edge q1-q2

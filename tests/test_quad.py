@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import surfquad as sq
+from surfquad.curved import build_surface_elements
 from surfquad.errors import IntegrationError, UnsupportedDegree
 from surfquad.quad import (MODE_EXACT, MODE_INTERP, monomial_integral,
                            pairwise_sum)
@@ -95,6 +96,19 @@ class TestIntegrateElement:
 
         sq.integrate_element(el, on_surface_only, sq.builtin_rule(12),
                              mode=MODE_INTERP)
+
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
+    def test_element_sum_matches_surface_integral(self, torus21, mode):
+        mesh = sq.generate_base(torus21, "struct_torus", 1)
+        batch = build_surface_elements(mesh, torus21, 3)
+        rule = sq.builtin_rule(12)
+        f = torus21.gauss_curvature
+        per_element = [sq.integrate_element(batch.element(i), f, rule, mode=mode)
+                       for i in range(batch.n_elements)]
+        total = sq.integrate_surface(mesh, torus21, f, 3, rule, mode=mode,
+                                     batch=batch).value
+        assert math.fsum(per_element) == pytest.approx(total, abs=1e-14)
 
 
 class TestIntegrateSurface:
