@@ -3,8 +3,9 @@
 Every reference node of a flat triangle (vertices included) is pushed through
 the affine chart and projected onto the surface; interpolating the projected
 nodes gives the element's polynomial chart.  For whole meshes the nodes are
-deduplicated through canonical vertex/edge keys before projection, so shared
-edge nodes of neighboring elements are bitwise identical (watertight).
+deduplicated through the vertex ids and ``refmesh.edge_table`` before
+projection, so shared edge nodes of neighboring elements are bitwise identical
+(watertight).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateJacobian, IntegrationError, NoConvergence, OutsideTube
 from .interp import LagrangeBasis, lagrange_basis
-from .refmesh import FlatMesh
+from .refmesh import FlatMesh, edge_table
 from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface, project_many
 
 
@@ -155,88 +156,54 @@ class ElementBatch:
             basis=self.basis)
 
 
-def _classify_lattice(lattice: np.ndarray, degree: int):
-    """Split reference lattice nodes into vertex/edge/interior descriptors.
-
-    Returns a list of per-node tags: ("v", local_vertex), ("e", local_a,
-    local_b, numerator from local_a) or ("i",).  Local vertices follow the
-    chart convention (0,0) -> q1, (0,1) -> q2, (1,0) -> q3.
-    """
-    k = degree
-    tags = []
-    for i, j in lattice:
-        i, j = int(i), int(j)
-        if i == 0 and j == 0:
-            tags.append(("v", 0))
-        elif i == 0 and j == k:
-            tags.append(("v", 1))
-        elif i == k and j == 0:
-            tags.append(("v", 2))
-        elif i == 0:                     # edge q1-q2, parameter j/k from q1
-            tags.append(("e", 0, 1, j))
-        elif j == 0:                     # edge q1-q3, parameter i/k from q1
-            tags.append(("e", 0, 2, i))
-        elif i + j == k:                 # edge q2-q3, parameter i/k from q2
-            tags.append(("e", 1, 2, i))
-        else:
-            tags.append(("i", i, j))
-    return tags
-
-
 def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface, degree: int,
                            basis: Optional[LagrangeBasis] = None,
                            tol: float = DEFAULT_TOL,
                            max_iter: int = DEFAULT_MAX_ITER) -> ElementBatch:
     """Curved elements for every face, with shared-edge nodes deduplicated.
 
-    Edge-node flat coordinates are computed from the canonical (smaller global
-    vertex first) parametrization, so both adjacent faces name the identical
+    Unique nodes are the referenced vertices, then k-1 nodes per edge of
+    ``edge_table``, then each face's interior nodes.  Edge-node flat
+    coordinates are computed from the canonical (smaller global vertex
+    first) parametrization, so both adjacent faces name the identical
     floating-point point and receive the identical projection.
     """
     if basis is None:
         basis = lagrange_basis(degree)
     k = degree
-    tags = _classify_lattice(basis.node_set.lattice, k)
-    n_nodes = basis.count
     faces = mesh.faces
     verts = mesh.vertices
+    edges, side_edge = edge_table(faces)
+    used, vertex_id = np.unique(faces, return_inverse=True)
+    edge_base = len(used)
+    face_base = edge_base + len(edges) * (k - 1)
 
-    key_index: dict = {}
-    flat_rows: list[np.ndarray] = []
-    node_index = np.empty((len(faces), n_nodes), dtype=np.int64)
+    # Each boundary lattice node lies `step` nodes along face side (0,1),
+    # (1,2) or (2,0) from that side's first corner; step 0 is the corner.
+    i, j = basis.node_set.lattice.T
+    inner = (i > 0) & (j > 0) & (i + j < k)
+    side = np.where((i == 0) & (j < k), 0, np.where(j == 0, 2, 1))
+    step = np.choose(side, [j, i, k - i])
+    corner = ~inner & (step == 0)
+    along = ~inner & (step > 0)
 
-    for fi, face in enumerate(faces):
-        g = (int(face[0]), int(face[1]), int(face[2]))
-        for ni, tag in enumerate(tags):
-            if tag[0] == "v":
-                key = ("v", g[tag[1]])
-                flat = None
-            elif tag[0] == "e":
-                ga, gb, num = g[tag[1]], g[tag[2]], tag[3]
-                if ga < gb:
-                    key = ("e", ga, gb, num)
-                else:
-                    key = ("e", gb, ga, k - num)
-                flat = None
-            else:
-                key = ("f", fi, tag[1], tag[2])
-                flat = (verts[g[0]]
-                        + (verts[g[2]] - verts[g[0]]) * (tag[1] / k)
-                        + (verts[g[1]] - verts[g[0]]) * (tag[2] / k))
-            idx = key_index.get(key)
-            if idx is None:
-                if flat is None:
-                    if key[0] == "v":
-                        flat = verts[key[1]]
-                    else:
-                        va, vb = verts[key[1]], verts[key[2]]
-                        flat = va + (vb - va) * (key[3] / k)
-                idx = len(flat_rows)
-                flat_rows.append(flat)
-                key_index[key] = idx
-            node_index[fi, ni] = idx
+    node_index = np.empty((len(faces), basis.count), dtype=np.int64)
+    node_index[:, corner] = vertex_id.reshape(faces.shape)[:, side[corner]]
+    s, t = side[along], step[along]
+    forward = faces[:, s] < faces[:, (s + 1) % 3]
+    node_index[:, along] = (edge_base + side_edge[:, s] * (k - 1)
+                            + np.where(forward, t, k - t) - 1)
+    n_inner = int(inner.sum())
+    node_index[:, inner] = (face_base + np.arange(len(faces))[:, None] * n_inner
+                            + np.arange(n_inner))
 
-    flat_nodes = np.array(flat_rows)
+    va, vb = verts[edges[:, 0]][:, None], verts[edges[:, 1]][:, None]
+    edge_flat = va + (vb - va) * (np.arange(1, k) / k)[:, None]
+    q1, q2, q3 = (verts[faces[:, c]][:, None] for c in range(3))
+    inner_flat = (q1 + (q3 - q1) * (i[inner] / k)[:, None]
+                  + (q2 - q1) * (j[inner] / k)[:, None])
+    flat_nodes = np.concatenate([verts[used], edge_flat.reshape(-1, 3),
+                                 inner_flat.reshape(-1, 3)])
     try:
         projected, _, _, _ = project_many(surface, flat_nodes, tol=tol,
                                           max_iter=max_iter)

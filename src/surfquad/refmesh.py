@@ -67,25 +67,40 @@ def mesh_size(mesh: FlatMesh) -> float:
     return float(np.max(np.stack([d01, d12, d20])))
 
 
-def edge_count(mesh: FlatMesh) -> int:
-    e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
-                        mesh.faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    return len(np.unique(e, axis=0))
+def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges of a face array and the edge id of every face side.
+
+    Returns ``(edges, side_edge)``: ``edges`` is (E, 2), smaller vertex
+    first, numbered in order of first appearance over the face sides (0,1),
+    (1,2), (2,0), face by face; ``side_edge`` is (F, 3), the edge id of each
+    of those sides.  Bisection, the topology checks and the curved-node
+    table all key edges through this one function.
+    """
+    faces = np.asarray(faces, dtype=np.int64)
+    pairs = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1)
+                    .reshape(-1, 2), axis=1)
+    key = pairs[:, 0] * (int(pairs.max(initial=0)) + 1) + pairs[:, 1]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return pairs[first[order]], rank[inverse].reshape(-1, 3)
 
 
 def euler_characteristic(mesh: FlatMesh) -> int:
-    return mesh.n_vertices - edge_count(mesh) + mesh.n_faces
+    return mesh.n_vertices - len(edge_table(mesh.faces)[0]) + mesh.n_faces
 
 
 def is_conforming_closed(mesh: FlatMesh) -> bool:
-    """Every undirected edge in exactly two faces, with opposite orientation."""
-    directed = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
-                               mesh.faces[:, [2, 0]]])
-    seen = set(map(tuple, directed))
-    if len(seen) != len(directed):
-        return False
-    return all((b, a) in seen for a, b in seen)
+    """Every undirected edge in exactly two faces, once in each direction.
+
+    A face that repeats a vertex has a side with no direction and fails.
+    """
+    edges, side_edge = edge_table(mesh.faces)
+    start, end = mesh.faces, np.roll(mesh.faces, -1, axis=1)
+    forward = np.bincount(side_edge[start < end], minlength=len(edges))
+    backward = np.bincount(side_edge[start > end], minlength=len(edges))
+    return bool(np.all(forward == 1) and np.all(backward == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,37 +236,15 @@ def bisect(mesh: FlatMesh) -> FlatMesh:
     midpoint coordinates are bitwise shared between neighbors.  New vertices
     are NOT projected back to the surface.
     """
-    verts = [mesh.vertices]
-    mid_index = {}
-    next_id = mesh.n_vertices
-    new_pts = []
-
-    def midpoint(a, b):
-        nonlocal next_id
-        key = (a, b) if a < b else (b, a)
-        idx = mid_index.get(key)
-        if idx is None:
-            new_pts.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
-            idx = next_id
-            mid_index[key] = idx
-            next_id += 1
-        return idx
-
-    faces = []
-    parents = []
-    for fi, (a, b, c) in enumerate(mesh.faces):
-        mab = midpoint(a, b)
-        mbc = midpoint(b, c)
-        mca = midpoint(c, a)
-        faces.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c),
-                      (mab, mbc, mca)])
-        parents.extend([fi] * 4)
-
-    if new_pts:
-        verts.append(np.array(new_pts))
-    return FlatMesh(np.concatenate(verts), np.array(faces, dtype=np.int64),
-                    level=mesh.level + 1,
-                    parent_face=np.array(parents, dtype=np.int64))
+    edges, side_edge = edge_table(mesh.faces)
+    v = mesh.vertices
+    mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
+    a, b, c = mesh.faces.T
+    mab, mbc, mca = (mesh.n_vertices + side_edge).T
+    children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                        axis=1).reshape(-1, 3)
+    return FlatMesh(np.concatenate([v, mids]), children, level=mesh.level + 1,
+                    parent_face=np.repeat(np.arange(mesh.n_faces), 4))
 
 
 def project_vertices(mesh: FlatMesh, surface: ImplicitSurface) -> FlatMesh:
@@ -346,6 +339,8 @@ def read_off(path) -> FlatMesh:
         nv, nf, _ = (int(c) for c in counts)
     except ValueError:
         raise ParseError(2, f"non-integer counts in {raw[1]!r}") from None
+    if nv < 0 or nf < 0:
+        raise ParseError(2, f"negative counts in {raw[1]!r}")
 
     if len(raw) < 2 + nv + nf:
         raise ParseError(len(raw) + 1, "truncated file")

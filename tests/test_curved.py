@@ -153,11 +153,22 @@ class TestWatertight:
             assert len(sets) == 2, f"edge {key} not shared by two faces"
             assert sets[0] == sets[1]
 
-    def test_unique_node_sharing_counts(self, unit_sphere):
+    @pytest.mark.parametrize("k, count", [(1, 6), (2, 18), (3, 38)])
+    def test_unique_node_sharing_counts(self, unit_sphere, k, count):
         mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)
-        batch = build_surface_elements(mesh, unit_sphere, 3)
-        # octahedron: 6 vertices + 12 edges * 2 interior nodes + 8 faces * 1
-        assert batch.unique_nodes.shape[0] == 6 + 24 + 8
+        batch = build_surface_elements(mesh, unit_sphere, k)
+        # octahedron: 6 vertices + 12 edges * (k-1) + 8 faces * (k-1)(k-2)/2
+        assert batch.unique_nodes.shape[0] == count
+
+    def test_unreferenced_vertex_not_projected(self, flat_ellipsoid):
+        mesh = sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1)
+        with pytest.raises(OutsideTube):
+            sq.project_many(flat_ellipsoid, np.zeros((1, 3)))
+        stray = FlatMesh(np.vstack([mesh.vertices, np.zeros(3)]), mesh.faces)
+        base = build_surface_elements(mesh, flat_ellipsoid, 3)
+        batch = build_surface_elements(stray, flat_ellipsoid, 3)
+        assert len(batch.unique_nodes) == len(base.unique_nodes)
+        assert np.array_equal(batch.element_nodes(), base.element_nodes())
 
     def test_traversal_order_independence(self, unit_sphere):
         mesh = sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 1))

@@ -72,7 +72,58 @@ class TestGenerators:
             sq.generate_base(unit_sphere, "icosahedron", 1)
 
 
+class TestConformity:
+    def test_repeated_vertex_face_rejected(self):
+        # the side (0, 0) is its own reverse; no closed surface has it
+        assert not sq.is_conforming_closed(FlatMesh(np.eye(3), [[0, 0, 1]]))
+
+    @pytest.mark.parametrize("edit", [
+        lambda f: np.vstack([f[:3], f[3, ::-1], f[4:]]),
+        lambda f: np.vstack([f, f[:1]]),
+        lambda f: f[1:],
+    ], ids=["flipped", "duplicated", "removed"])
+    def test_broken_octahedron_rejected(self, unit_sphere, edit):
+        m = sq.generate_base(unit_sphere, "octa_sphere", 1)
+        assert sq.is_conforming_closed(m)
+        assert not sq.is_conforming_closed(FlatMesh(m.vertices, edit(m.faces)))
+
+
+def _bisect_reference(mesh):
+    """Midpoints numbered by first appearance over sides ab, bc, ca, face by face."""
+    verts, index, faces = list(mesh.vertices), {}, []
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in index:
+            index[key] = len(verts)
+            verts.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
+        return index[key]
+
+    for a, b, c in mesh.faces.tolist():
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return np.array(verts), np.array(faces), np.repeat(np.arange(mesh.n_faces), 4)
+
+
 class TestBisect:
+    @pytest.mark.parametrize("case", ["octa_sphere", "struct_torus", "permuted"])
+    def test_numbering_matches_first_appearance(self, unit_sphere, torus21, case):
+        # OFF bytes and the canonical reduction order depend on this numbering
+        if case == "struct_torus":
+            m = sq.generate_base(torus21, "struct_torus", 1)
+        else:
+            m = sq.generate_base(unit_sphere, "octa_sphere", 1)
+        if case == "permuted":
+            m = sq.bisect(m)
+            m = FlatMesh(m.vertices,
+                         m.faces[np.random.default_rng(7).permutation(m.n_faces)])
+        for _ in range(2):
+            verts, faces, parents = _bisect_reference(m)
+            m = sq.bisect(m)
+            assert np.array_equal(m.vertices, verts)
+            assert np.array_equal(m.faces, faces)
+            assert np.array_equal(m.parent_face, parents)
+
     def test_face_count_powers(self, unit_sphere):
         m = sq.generate_base(unit_sphere, "octa_sphere", 1)
         for level in range(1, 4):
@@ -236,6 +287,14 @@ class TestOffIO:
         with pytest.raises(ParseError) as err:
             sq.read_off(path)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("counts", ["-1 0 0", "3 -1 0"])
+    def test_negative_counts(self, tmp_path, counts):
+        path = tmp_path / "negative.off"
+        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n")
+        with pytest.raises(ParseError) as err:
+            sq.read_off(path)
+        assert err.value.line == 2
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "oob.off"
