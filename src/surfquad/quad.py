@@ -53,7 +53,7 @@ def monomial_integral(a: int, b: int) -> float:
 
 
 def _verify_rule(rule: QuadratureRule, tol: float = 1e-13) -> None:
-    """Abort if an embedded table fails the monomial-moment oracle."""
+    """Abort if a built-in rule fails the monomial-moment oracle."""
     s, t = rule.points[:, 0], rule.points[:, 1]
     if np.any(rule.weights <= 0.0):
         raise AssertionError(f"degree-{rule.degree} rule has nonpositive weights")

@@ -1,13 +1,13 @@
-"""Embedded symmetric triangle quadrature data.
+"""Symmetric triangle quadrature data.
 
 Degrees 1-6 are the classic positive-weight symmetric rules, stored as orbit
-generators in barycentric form.  Degrees 7-12 are built from embedded 1D
-Gauss-Jacobi/Gauss-Legendre tables via the conical product on the reference
-triangle, then symmetrized over the 6 affine symmetries; this keeps every
-weight positive and every point strictly interior at any degree.  ``quad``
-verifies every table against the monomial-moment oracle the first time a
-rule is requested; a transcription error raises instead of shipping a wrong
-weight.
+generators in barycentric form.  Degrees 7-12 are conical products (Stroud
+1971) of Gauss-Jacobi and Gauss-Legendre points, computed by Golub-Welsch
+rather than stored, then symmetrized over the 6 affine symmetries of the
+triangle; this keeps every weight positive and every point strictly
+interior.  ``quad.builtin_rule`` bounds the degree to 1..12 and checks each
+rule against the monomial-moment oracle the first time it is requested, so
+a wrong weight raises instead of shipping.
 
 Points are (s, t) on {0 <= s <= 1, 0 <= t <= 1 - s}; weights sum to 1/2.
 """
@@ -49,43 +49,43 @@ _CLASSIC = {
         + _s111(0.310352451033785, 0.053145049844816, 0.082851075618374 / 2.0)),
 }
 
-# 1D Gauss data on [0, 1], keyed by point count m:
-# (jacobi nodes, jacobi weights for weight function (1-u), legendre nodes,
-#  legendre weights).  m points are exact to polynomial degree 2m-1.
-_GAUSS_1D = {
-    4: (
-        (0.057104196114517725, 0.2768430136381238, 0.5835904323689168, 0.8602401356562195),
-        (0.13550691343148852, 0.2034645680102711, 0.12984754760823233, 0.031180970950008085),
-        (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262),
-        (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269),
-    ),
-    5: (
-        (0.03980985705146872, 0.1980134178736082, 0.43797481024738616, 0.6954642733536361, 0.9014649142011736),
-        (0.09678159022665148, 0.1671746380943697, 0.14638698708466985, 0.07390887007261668, 0.0157479145216923),
-        (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319),
-        (0.11846344252809449, 0.23931433524968326, 0.2844444444444445, 0.23931433524968326, 0.11846344252809449),
-    ),
-    6: (
-        (0.02931642715978494, 0.1480785996684843, 0.3369846902811543, 0.5586715187715502, 0.7692338620300545, 0.926945671319741),
-        (0.0723103307255089, 0.13554249723151868, 0.14079255378819883, 0.0986611508906552, 0.04395516555050896, 0.008738301813609529),
-        (0.033765242898423975, 0.16939530676686776, 0.3806904069584015, 0.6193095930415985, 0.8306046932331322, 0.966234757101576),
-        (0.08566224618958508, 0.18038078652406928, 0.2339569672863456, 0.2339569672863456, 0.18038078652406928, 0.08566224618958508),
-    ),
-    7: (
-        (0.0224793864387125, 0.11467905316090415, 0.2657898227845895, 0.45284637366944464, 0.6473752828868303, 0.8197593082631076, 0.9437374394630779),
-        (0.055967363423490867, 0.1105092581908744, 0.12739089729958852, 0.10712506569587381, 0.06638469646549157, 0.027408356721873486, 0.005214362202807391),
-        (0.025446043828620812, 0.12923440720030277, 0.2970774243113014, 0.5, 0.7029225756886985, 0.8707655927996972, 0.9745539561713792),
-        (0.06474248308443496, 0.1398526957446383, 0.19091502525255938, 0.20897959183673456, 0.19091502525255938, 0.1398526957446383, 0.06474248308443496),
-    ),
-}
 
-# degree -> 1D point count for the conical construction (2m-1 >= degree+1)
-_CONICAL_M = {7: 4, 8: 5, 9: 5, 10: 6, 11: 6, 12: 7}
+def _gauss_01(m: int, alpha: int):
+    """m-point Gauss rule (nodes, weights) on [0, 1] for the weight (1-u)^alpha.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal recurrence u p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1}
+    (shifted Jacobi polynomials with parameters alpha and 0).  One Newton
+    step on p_m polishes them, and the weights are the Christoffel numbers
+    1 / sum_{j<m} p_j(u)^2.  Exact through polynomial degree 2m-1.
+    """
+    n = np.arange(1.0, m + 1.0)
+    k = 2.0 * n + alpha
+    # a_0 is the weight's mean; the general a_n is 0/0 there when alpha = 0
+    a = np.append(1.0 / (alpha + 2.0), 0.5 - alpha**2 / (2.0 * k[:-1] * (k[:-1] + 2.0)))
+    b = np.append(0.0, n * (n + alpha) / (k * np.sqrt((k - 1.0) * (k + 1.0))))
+    u = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:m], 1) + np.diag(b[1:m], -1))
+
+    def recurrence(u):
+        # p_m, p_m' and sum_{j<m} p_j^2 at u; p_0 = 1/sqrt(int (1-u)^alpha)
+        p, p_prev, d, d_prev, ssq = np.full_like(u, np.sqrt(alpha + 1.0)), 0, 0, 0, 0
+        for j in range(m):
+            ssq = ssq + p * p
+            p_prev, p, d_prev, d = (
+                p, ((u - a[j]) * p - b[j] * p_prev) / b[j + 1],
+                d, (p + (u - a[j]) * d - b[j] * d_prev) / b[j + 1])
+        return p, d, ssq
+
+    p, d, _ = recurrence(u)
+    u = u - p / d
+    return u, 1.0 / recurrence(u)[2]
 
 
 def _conical_symmetric(degree: int):
     """Conical-product rule symmetrized over the triangle's symmetry group."""
-    uj, wj, ul, wl = (np.asarray(v, dtype=float) for v in _GAUSS_1D[_CONICAL_M[degree]])
+    m = degree // 2 + 1   # m-point Gauss rules are exact to 2m-1 >= degree
+    uj, wj = _gauss_01(m, 1)
+    ul, wl = _gauss_01(m, 0)
     s = np.repeat(uj, len(ul))
     t = np.tile(ul, len(uj)) * (1.0 - s)
     w = np.repeat(wj, len(ul)) * np.tile(wl, len(uj))
@@ -100,15 +100,10 @@ def _conical_symmetric(degree: int):
 
 
 def rule_table(degree: int):
-    """(points (n,2), weights (n,)) for an embedded rule of the given degree."""
+    """(points (n,2), weights (n,)) of the symmetric rule of the given degree."""
     if degree in _CLASSIC:
         rows = _CLASSIC[degree]
         pts = np.array([(s, t) for s, t, _ in rows])
         wts = np.array([w for _, _, w in rows])
         return pts, wts
-    if degree in _CONICAL_M:
-        return _conical_symmetric(degree)
-    raise KeyError(degree)
-
-
-SUPPORTED_DEGREES = tuple(sorted(set(_CLASSIC) | set(_CONICAL_M)))
+    return _conical_symmetric(degree)

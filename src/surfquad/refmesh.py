@@ -34,6 +34,8 @@ class FlatMesh:
         f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError("faces must be an (F, 3) index array")
+        if f.size and (f.min() < 0 or f.max() >= len(v)):
+            raise ValueError(f"face vertex index out of range [0, {len(v)})")
         v.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "vertices", v)

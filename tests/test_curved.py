@@ -136,22 +136,28 @@ class TestElementDiameter:
 
 class TestWatertight:
     def test_shared_edge_nodes_bitwise_identical(self, unit_sphere):
+        k = 4
         mesh = sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 1))
-        batch = build_surface_elements(mesh, unit_sphere, 4)
-        # collect projected edge-node coordinate tuples per undirected edge
-        edges = {}
-        for fi in range(batch.n_elements):
+        batch = build_surface_elements(mesh, unit_sphere, k)
+        # lattice (i, j) is the reference point (s, t) = (i/k, j/k); the face
+        # corners 0, 1, 2 sit at lattice (0, 0), (0, k), (k, 0)
+        local = {(int(i), int(j)): n
+                 for n, (i, j) in enumerate(batch.basis.node_set.lattice)}
+        corner = np.array([[0, 0], [0, 1], [1, 0]])
+        # each face walks the k-1 nodes of every side from the smaller vertex id
+        walks = {}
+        for fi, face in enumerate(mesh.faces):
             nodes = batch.element_nodes(slice(fi, fi + 1))[0]
-            face = mesh.faces[fi]
             for a, b in ((0, 1), (1, 2), (2, 0)):
-                key = tuple(sorted((int(face[a]), int(face[b]))))
-                interior = [tuple(n) for n in nodes
-                            if _on_segment(mesh.vertices[key[0]],
-                                           mesh.vertices[key[1]], n)]
-                edges.setdefault(key, []).append(frozenset(interior))
-        for key, sets in edges.items():
-            assert len(sets) == 2, f"edge {key} not shared by two faces"
-            assert sets[0] == sets[1]
+                walk = [local[tuple((k - step) * corner[a] + step * corner[b])]
+                        for step in range(1, k)]
+                if face[a] > face[b]:
+                    walk.reverse()
+                key = (min(face[a], face[b]), max(face[a], face[b]))
+                walks.setdefault(key, []).append(nodes[walk])
+        for key, pair in walks.items():
+            assert len(pair) == 2, f"edge {key} not shared by two faces"
+            assert np.array_equal(pair[0], pair[1]), f"edge {key}"
 
     @pytest.mark.parametrize("k, count", [(1, 6), (2, 18), (3, 38)])
     def test_unique_node_sharing_counts(self, unit_sphere, k, count):
@@ -179,14 +185,6 @@ class TestWatertight:
         shuffled = FlatMesh(mesh.vertices, mesh.faces[perm])
         got = sq.integrate_surface(shuffled, unit_sphere, f, 3, rule).value
         assert got == base   # canonical reduction order, bitwise equal
-
-
-def _on_segment(a, b, p, tol=1e-9):
-    pa, ba = p - a, b - a
-    t = float(pa @ ba) / float(ba @ ba)
-    if not 0.01 < t < 0.99:
-        return False
-    return float(np.linalg.norm(pa - t * ba)) < tol
 
 
 class TestGeometricConvergence:

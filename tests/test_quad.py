@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from surfquad.curved import build_surface_elements
 from surfquad.errors import IntegrationError, UnsupportedDegree
 from surfquad.quad import (MODE_EXACT, MODE_INTERP, monomial_integral,
                            pairwise_sum)
+from surfquad.quadrules import _gauss_01
 
 
 def plane_surface():
@@ -63,6 +65,39 @@ class TestBuiltinRules:
     def test_unsupported_degree(self, bad):
         with pytest.raises(UnsupportedDegree):
             sq.builtin_rule(bad)
+
+
+class TestComputedRules:
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_gauss_01_exact_through_2m_minus_1(self, m, alpha):
+        u, w = _gauss_01(m, alpha)
+        assert len(u) == len(w) == m
+
+        def rel_err(j):
+            # int_0^1 u^j (1-u)^alpha du = j! alpha! / (j + alpha + 1)!
+            exact = (math.factorial(j) * math.factorial(alpha)
+                     / math.factorial(j + alpha + 1))
+            return abs(float(w @ u**j) - exact) / exact
+
+        for j in range(2 * m):
+            assert rel_err(j) <= 16 * np.finfo(float).eps, j
+        assert rel_err(2 * m) > 1e-8
+
+    def test_degree12_moments_in_exact_arithmetic(self):
+        # the stored floats summed without rounding: only the rule's own
+        # data error remains, a few ulps when the Gauss data is correct
+        rule = sq.builtin_rule(12)
+        s, t, w = ([Fraction(float(x)) for x in col]
+                   for col in (rule.points[:, 0], rule.points[:, 1], rule.weights))
+        worst = 0.0
+        for a in range(14):
+            for b in range(14 - a):
+                exact = Fraction(math.factorial(a) * math.factorial(b),
+                                 math.factorial(a + b + 2))
+                got = sum(wi * si**a * ti**b for wi, si, ti in zip(w, s, t))
+                worst = max(worst, float(abs(got - exact) / exact))
+        assert worst <= 1e-15
 
 
 class TestIntegrateElement:

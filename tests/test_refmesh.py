@@ -73,6 +73,13 @@ class TestGenerators:
 
 
 class TestConformity:
+    @pytest.mark.parametrize("face", [[0, 1, -1], [0, 1, 5]],
+                             ids=["negative", "past_end"])
+    def test_face_index_out_of_range_rejected(self, face):
+        # a negative index would silently wrap to the last vertex in bisect
+        with pytest.raises(ValueError, match="out of range"):
+            FlatMesh(np.eye(3), [face])
+
     def test_repeated_vertex_face_rejected(self):
         # the side (0, 0) is its own reverse; no closed surface has it
         assert not sq.is_conforming_closed(FlatMesh(np.eye(3), [[0, 0, 1]]))
@@ -299,5 +306,6 @@ class TestOffIO:
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "oob.off"
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             sq.read_off(path)
+        assert err.value.line == 6
