@@ -61,9 +61,9 @@ def _chart_metric(tables: tuple, nodes: np.ndarray):
     """Chart points and d/ds, d/dt Jacobian columns, each (C, q, 3), and the
     metric determinant det(J^T J) (C, q) of (C, N, 3) element nodes."""
     L, Ls, Lt = tables
-    pts = np.einsum("qn,cnd->cqd", L, nodes)
-    js = np.einsum("qn,cnd->cqd", Ls, nodes)
-    jt = np.einsum("qn,cnd->cqd", Lt, nodes)
+    # One (q, N) @ (N, 3) BLAS product per element: an element's bits do not
+    # depend on its chunk or its place in it.
+    pts, js, jt = L @ nodes, Ls @ nodes, Lt @ nodes
     ee = np.einsum("cqd,cqd->cq", js, js)
     gg = np.einsum("cqd,cqd->cq", jt, jt)
     ff = np.einsum("cqd,cqd->cq", js, jt)

@@ -32,6 +32,8 @@ class FlatMesh:
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
+        if v.ndim != 2 or v.shape[1] != 3:
+            raise ValueError("vertices must be a (V, 3) coordinate array")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError("faces must be an (F, 3) index array")
         if f.size and (f.min() < 0 or f.max() >= len(v)):

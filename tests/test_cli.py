@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,6 +168,29 @@ class TestDeterminism:
         assert main(f"{args} --threads 1 --out {out1}".split()) == 0
         assert main(f"{args} --threads 4 --out {out2}".split()) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_identical_csv_across_blas_threads(self, tmp_path):
+        # OpenBLAS fixes its thread count when it loads, so each setting
+        # needs its own process
+        args = ("converge --surface torus:R=2,r=1 --kind struct_torus --res 1 "
+                "--k 2 --f gauss_curvature --levels 3 --mode interp").split()
+        src = str(Path(sq.__file__).resolve().parent.parent)
+        outputs = []
+        for blas in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas}-threads{threads}.csv"
+                subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from surfquad.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))",
+                     *args, "--threads", threads, "--out", str(out)],
+                    env=env, check=True)
+                outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == 5   # header and levels 0-3
+        assert all(o == outputs[0] for o in outputs[1:])
 
     def test_env_default_threads(self, monkeypatch):
         monkeypatch.setenv("SURFQUAD_THREADS", "3")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import surfquad as sq
-from surfquad.curved import affine_chart_points, build_surface_elements
+from surfquad.curved import (_basis_tables, _chart_metric, affine_chart_points,
+                             build_surface_elements)
 from surfquad.errors import DegenerateJacobian, IntegrationError, OutsideTube
 from surfquad.refmesh import FlatMesh
 
@@ -185,6 +186,42 @@ class TestWatertight:
         shuffled = FlatMesh(mesh.vertices, mesh.faces[perm])
         got = sq.integrate_surface(shuffled, unit_sphere, f, 3, rule).value
         assert got == base   # canonical reduction order, bitwise equal
+
+
+@pytest.fixture(scope="module")
+def torus_level2(torus21):
+    return sq.bisect(sq.bisect(sq.generate_base(torus21, "struct_torus", 2)))
+
+
+class TestChartMetricKernel:
+    # One BLAS product per element: a single GEMM over the whole chunk gave an
+    # element other bits at k=10 than it got alone.
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_element_bits_independent_of_chunk(self, torus21, torus_level2, k):
+        batch = build_surface_elements(torus_level2, torus21, k)
+        tables = _basis_tables(batch.basis, sq.builtin_rule(12).points)
+        nodes = batch.element_nodes(slice(0, 512))
+        chunk = _chart_metric(tables, nodes)
+        perm = np.random.default_rng(k).permutation(len(nodes))
+        permuted = _chart_metric(tables, nodes[perm])
+        for got, out in zip(permuted, chunk):
+            assert np.array_equal(got, out[perm])
+        for c in range(len(nodes)):
+            alone = _chart_metric(tables, nodes[c:c + 1])
+            assert all(np.array_equal(a[0], out[c])
+                       for a, out in zip(alone, chunk))
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_matches_per_element_dot(self, torus21, torus_level2, k):
+        batch = build_surface_elements(torus_level2, torus21, k)
+        tables = _basis_tables(batch.basis, sq.builtin_rule(12).points)
+        nodes = batch.element_nodes(slice(0, 512))
+        pts, js, jt = (np.array([np.dot(t, n) for n in nodes]) for t in tables)
+        det = (np.sum(js * js, axis=-1) * np.sum(jt * jt, axis=-1)
+               - np.sum(js * jt, axis=-1) ** 2)
+        for got, ref in zip(_chart_metric(tables, nodes), (pts, js, jt, det)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestGeometricConvergence:

@@ -10,6 +10,7 @@ from surfquad.errors import IntegrationError, UnsupportedDegree
 from surfquad.quad import (MODE_EXACT, MODE_INTERP, monomial_integral,
                            pairwise_sum)
 from surfquad.quadrules import _gauss_01
+from surfquad.refmesh import FlatMesh
 
 
 def plane_surface():
@@ -215,6 +216,25 @@ class TestIntegrateSurface:
                                      3, rule, threads=n).value
                 for n in (1, 2, 4)]
         assert vals[0] == vals[1] == vals[2]
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
+    def test_traversal_order_independence_six_faces(self, unit_sphere, mode):
+        # 6 faces leave a chunk whose length is not a multiple of 4; a BLAS
+        # matrix-vector product over the chunk summed its last rows in
+        # another order, so the total depended on which faces came last
+        v = np.array([[1.0, 0.0, 0.0], [-0.5, math.sqrt(0.75), 0.0],
+                      [-0.5, -math.sqrt(0.75), 0.0], [0.0, 0.0, 1.0],
+                      [0.0, 0.0, -1.0]])
+        faces = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3],
+                          [1, 0, 4], [2, 1, 4], [0, 2, 4]])
+        rule = sq.builtin_rule(12)
+        f = lambda p: np.ones(p.shape[:-1])
+        vals = {sq.integrate_surface(FlatMesh(v, faces[perm]), unit_sphere, f,
+                                     2, rule, mode=mode).value
+                for perm in [np.arange(6)] + [np.random.default_rng(seed)
+                                              .permutation(6)
+                                              for seed in range(6)]}
+        assert len(vals) == 1
 
     def test_failure_aggregation(self, flat_ellipsoid):
         mesh = sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1)

@@ -80,6 +80,12 @@ class TestConformity:
         with pytest.raises(ValueError, match="out of range"):
             FlatMesh(np.eye(3), [face])
 
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_vertex_shape_rejected(self, width):
+        # (3, 2) vertices used to bisect into (6, 2) and give mesh_size 0.0
+        with pytest.raises(ValueError, match=r"\(V, 3\)"):
+            FlatMesh(np.zeros((3, width)), [[0, 1, 2]])
+
     def test_repeated_vertex_face_rejected(self):
         # the side (0, 0) is its own reverse; no closed surface has it
         assert not sq.is_conforming_closed(FlatMesh(np.eye(3), [[0, 0, 1]]))
