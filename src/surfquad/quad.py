@@ -125,7 +125,7 @@ def _chart_integrals(tables: tuple, weights: np.ndarray, nodes: np.ndarray,
     else:
         fvals = (tables[0] @ f_nodal[..., None])[..., 0]
     # one product per element, as in _chart_metric: one (C, q) @ (q,) product
-    # summed the chunk's last C % 4 rows in another order than the rest
+    # sums the chunk's last C % 4 rows in another order than the rest
     return ((fvals * metric)[:, None] @ weights)[:, 0], degenerate
 
 

@@ -188,21 +188,22 @@ class TestWatertight:
         assert got == base   # canonical reduction order, bitwise equal
 
 
-@pytest.fixture(scope="module")
-def torus_level2(torus21):
-    return sq.bisect(sq.bisect(sq.generate_base(torus21, "struct_torus", 2)))
+@pytest.fixture(scope="module", params=[1, 4, 10])
+def kernel_chunk(request, torus21):
+    """Degree-12 rule tables and a 512-element chunk of the level-2 torus."""
+    mesh = sq.bisect(sq.bisect(sq.generate_base(torus21, "struct_torus", 2)))
+    batch = build_surface_elements(mesh, torus21, request.param)
+    return (_basis_tables(batch.basis, sq.builtin_rule(12).points),
+            batch.element_nodes(slice(0, 512)))
 
 
 class TestChartMetricKernel:
-    # One BLAS product per element: a single GEMM over the whole chunk gave an
-    # element other bits at k=10 than it got alone.
-    @pytest.mark.parametrize("k", [1, 4, 10])
-    def test_element_bits_independent_of_chunk(self, torus21, torus_level2, k):
-        batch = build_surface_elements(torus_level2, torus21, k)
-        tables = _basis_tables(batch.basis, sq.builtin_rule(12).points)
-        nodes = batch.element_nodes(slice(0, 512))
+    # One BLAS product per element: a single GEMM over the whole chunk gives
+    # an element other bits at k=10 than it gets alone.
+    def test_element_bits_independent_of_chunk(self, kernel_chunk):
+        tables, nodes = kernel_chunk
         chunk = _chart_metric(tables, nodes)
-        perm = np.random.default_rng(k).permutation(len(nodes))
+        perm = np.random.default_rng(5).permutation(len(nodes))
         permuted = _chart_metric(tables, nodes[perm])
         for got, out in zip(permuted, chunk):
             assert np.array_equal(got, out[perm])
@@ -211,11 +212,8 @@ class TestChartMetricKernel:
             assert all(np.array_equal(a[0], out[c])
                        for a, out in zip(alone, chunk))
 
-    @pytest.mark.parametrize("k", [1, 4, 10])
-    def test_matches_per_element_dot(self, torus21, torus_level2, k):
-        batch = build_surface_elements(torus_level2, torus21, k)
-        tables = _basis_tables(batch.basis, sq.builtin_rule(12).points)
-        nodes = batch.element_nodes(slice(0, 512))
+    def test_matches_per_element_dot(self, kernel_chunk):
+        tables, nodes = kernel_chunk
         pts, js, jt = (np.array([np.dot(t, n) for n in nodes]) for t in tables)
         det = (np.sum(js * js, axis=-1) * np.sum(jt * jt, axis=-1)
                - np.sum(js * jt, axis=-1) ** 2)

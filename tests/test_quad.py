@@ -219,9 +219,9 @@ class TestIntegrateSurface:
 
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
     def test_traversal_order_independence_six_faces(self, unit_sphere, mode):
-        # 6 faces leave a chunk whose length is not a multiple of 4; a BLAS
-        # matrix-vector product over the chunk summed its last rows in
-        # another order, so the total depended on which faces came last
+        # 6 faces leave a chunk whose length is not a multiple of 4; one BLAS
+        # matrix-vector product over the chunk sums its last rows in another
+        # order, which would make the total depend on which faces come last
         v = np.array([[1.0, 0.0, 0.0], [-0.5, math.sqrt(0.75), 0.0],
                       [-0.5, -math.sqrt(0.75), 0.0], [0.0, 0.0, 1.0],
                       [0.0, 0.0, -1.0]])
@@ -229,12 +229,12 @@ class TestIntegrateSurface:
                           [1, 0, 4], [2, 1, 4], [0, 2, 4]])
         rule = sq.builtin_rule(12)
         f = lambda p: np.ones(p.shape[:-1])
-        vals = {sq.integrate_surface(FlatMesh(v, faces[perm]), unit_sphere, f,
-                                     2, rule, mode=mode).value
-                for perm in [np.arange(6)] + [np.random.default_rng(seed)
-                                              .permutation(6)
-                                              for seed in range(6)]}
-        assert len(vals) == 1
+        perms = [np.random.default_rng(seed).permutation(6) for seed in range(8)]
+        for k in (2, 3, 4):
+            vals = {sq.integrate_surface(FlatMesh(v, faces[perm]), unit_sphere,
+                                         f, k, rule, mode=mode).value
+                    for perm in perms}
+            assert len(vals) == 1, k
 
     def test_failure_aggregation(self, flat_ellipsoid):
         mesh = sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1)

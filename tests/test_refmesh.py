@@ -82,7 +82,7 @@ class TestConformity:
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_vertex_shape_rejected(self, width):
-        # (3, 2) vertices used to bisect into (6, 2) and give mesh_size 0.0
+        # (3, 2) vertices would bisect into (6, 2) and give mesh_size 0.0
         with pytest.raises(ValueError, match=r"\(V, 3\)"):
             FlatMesh(np.zeros((3, width)), [[0, 1, 2]])
 
