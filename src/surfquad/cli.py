@@ -150,12 +150,12 @@ def run(args, parser) -> int:
             batch = build_surface_elements(mesh, surface, args.k,
                                            tol=args.proj_tol,
                                            max_iter=args.proj_max_iter)
+            # Format each unique node once; shared nodes repeat per slot.
+            rows = [f"{x!r},{y!r},{z!r}" for x, y, z in batch.unique_nodes.tolist()]
             lines = ["face,node,x,y,z"]
-            for fi in range(batch.n_elements):
-                nodes = batch.element_nodes(slice(fi, fi + 1))[0]
-                for ni, p in enumerate(nodes):
-                    lines.append(f"{fi},{ni},{float(p[0])!r},{float(p[1])!r},"
-                                 f"{float(p[2])!r}")
+            lines += [f"{fi},{ni},{rows[u]}"
+                      for fi, slots in enumerate(batch.node_index.tolist())
+                      for ni, u in enumerate(slots)]
             _emit("\n".join(lines) + "\n", args.curved_nodes)
         return 0
 

@@ -262,52 +262,53 @@ def project_vertices(mesh: FlatMesh, surface: ImplicitSurface) -> FlatMesh:
 # ---------------------------------------------------------------------------
 
 def symmetry_census(mesh: FlatMesh) -> MeshStats:
-    """Greedily pair congruent faces related by point reflection through a
-    shared vertex; count pairs and leftovers."""
+    """Greedily pair faces that are point reflections of each other through a
+    shared vertex; count pairs and leftovers.
+
+    Faces ``fi`` and ``fj`` that each hold vertex ``v`` once are reflected
+    through ``v`` when their other two vertices, taken relative to ``v``, sum
+    to zero pairwise (straight or crossed) within ``1e-12·h``, h being
+    ``mesh_size``.  Pairing rule: faces are visited in index order, then their
+    corners in face order, then the faces ``fj > fi`` of that corner's fan in
+    index order; the first reflected partner not yet paired wins.
+    """
     h = mesh_size(mesh) if mesh.n_faces else 0.0
     tol = 1e-12 * h
-    verts = mesh.vertices
-    faces = mesh.faces
+    verts, own = mesh.vertices, mesh.faces.ravel()
+    nxt = np.roll(mesh.faces, -1, axis=1).ravel()
+    prv = np.roll(mesh.faces, -2, axis=1).ravel()
+    # Corners 3*fi + c, sorted by vertex and then face; a face that repeats
+    # its vertex v has no corner at v.
+    corner = np.flatnonzero((nxt != own) & (prv != own))
+    corner = corner[np.argsort(own[corner], kind="stable")]
+    vertex = own[corner]
+    a = verts[nxt[corner]] - verts[vertex]
+    b = verts[prv[corner]] - verts[vertex]
 
-    vertex_faces = {}
-    for fi, face in enumerate(faces):
-        for v in face:
-            vertex_faces.setdefault(int(v), []).append(fi)
+    def cancel(x, y):
+        return np.linalg.norm(x + y, axis=1) <= tol
 
-    def others(fi, v):
-        face = faces[fi]
-        return [int(w) for w in face if w != v]
+    # Candidates (corner of fi, fj) from the corner pairs (k, k + d) of each
+    # fan, tested for d = 1, 2, ... one offset at a time.
+    pair_corner = [np.empty(0, dtype=np.int64)]
+    pair_face = [np.empty(0, dtype=np.int64)]
+    d = 1
+    while (k := np.flatnonzero(vertex[:-d] == vertex[d:])).size:
+        m = k + d
+        hit = ((cancel(a[k], a[m]) & cancel(b[k], b[m]))
+               | (cancel(a[k], b[m]) & cancel(b[k], a[m])))
+        pair_corner.append(corner[k[hit]])
+        pair_face.append(corner[m[hit]] // 3)
+        d += 1
+    pair_corner, pair_face = np.concatenate(pair_corner), np.concatenate(pair_face)
+    order = np.lexsort((pair_face, pair_corner))     # (fi, corner, fj) order
 
-    def reflected(fi, fj, v):
-        p = verts[v]
-        oi = others(fi, v)
-        oj = others(fj, v)
-        if len(oi) != 2 or len(oj) != 2:
-            return False
-        ai, bi = verts[oi[0]] - p, verts[oi[1]] - p
-        aj, bj = verts[oj[0]] - p, verts[oj[1]] - p
-        straight = (np.linalg.norm(ai + aj) <= tol and np.linalg.norm(bi + bj) <= tol)
-        crossed = (np.linalg.norm(ai + bj) <= tol and np.linalg.norm(bi + aj) <= tol)
-        return straight or crossed
-
-    paired = np.zeros(mesh.n_faces, dtype=bool)
+    paired = [False] * mesh.n_faces
     n_pairs = 0
-    for fi in range(mesh.n_faces):
-        if paired[fi]:
-            continue
-        found = False
-        for v in faces[fi]:
-            for fj in vertex_faces[int(v)]:
-                if fj <= fi or paired[fj]:
-                    continue
-                if reflected(fi, fj, int(v)):
-                    paired[fi] = paired[fj] = True
-                    n_pairs += 1
-                    found = True
-                    break
-            if found:
-                break
-
+    for fi, fj in zip((pair_corner[order] // 3).tolist(), pair_face[order].tolist()):
+        if not (paired[fi] or paired[fj]):
+            paired[fi] = paired[fj] = True
+            n_pairs += 1
     return MeshStats(h=h, n_faces=mesh.n_faces, n_symmetric_pairs=n_pairs,
                      n_unpaired=mesh.n_faces - 2 * n_pairs)
 
@@ -319,10 +320,8 @@ def symmetry_census(mesh: FlatMesh) -> MeshStats:
 def write_off(mesh: FlatMesh, path) -> None:
     """ASCII OFF with shortest round-trip float formatting."""
     lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
-    for v in mesh.vertices:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for f in mesh.faces:
-        lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.faces.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

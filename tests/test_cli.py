@@ -75,6 +75,21 @@ class TestMeshCommand:
         r = np.linalg.norm([float(x), float(y), float(z)])
         assert r == pytest.approx(1.0, abs=1e-11)
 
+    def test_curved_nodes_bytes(self, tmp_path):
+        csv = tmp_path / "nodes.csv"
+        code = main(f"mesh --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
+                    f"--res 1 --levels 1 --k 3 --out {tmp_path / 'mesh.off'} "
+                    f"--curved-nodes {csv}".split())
+        assert code == 0
+        surface = sq.ellipsoid(1.0, 1.0, 0.6)
+        mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
+        nodes = sq.build_surface_elements(mesh, surface, 3).element_nodes()
+        # one row per slot: nodes shared along edges repeat across faces
+        rows = [f"{fi},{ni},{float(x)!r},{float(y)!r},{float(z)!r}"
+                for fi, face in enumerate(nodes) for ni, (x, y, z) in enumerate(face)]
+        assert len({row.split(",", 2)[2] for row in rows}) < len(rows)
+        assert csv.read_text() == "face,node,x,y,z\n" + "\n".join(rows) + "\n"
+
     def test_project_vertices_flag(self, tmp_path):
         out = tmp_path / "proj.off"
         code = main(f"mesh --surface sphere:R=1 --kind octa_sphere --res 1 "

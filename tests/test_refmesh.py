@@ -3,7 +3,7 @@ import pytest
 
 import surfquad as sq
 from surfquad.errors import NonTriangleFace, ParseError, TopologyMismatch
-from surfquad.refmesh import FlatMesh
+from surfquad.refmesh import FlatMesh, MeshStats, mesh_size
 
 
 @pytest.fixture()
@@ -202,7 +202,119 @@ class TestBisect:
         assert np.max(np.abs(unit_sphere.phi(mp.vertices))) <= 1e-12
 
 
+def _census_reference(mesh):
+    """The per-face greedy loop that ``symmetry_census`` vectorizes."""
+    h = mesh_size(mesh) if mesh.n_faces else 0.0
+    tol = 1e-12 * h
+    verts = mesh.vertices
+    faces = mesh.faces
+
+    vertex_faces = {}
+    for fi, face in enumerate(faces):
+        for v in face:
+            vertex_faces.setdefault(int(v), []).append(fi)
+
+    def others(fi, v):
+        return [int(w) for w in faces[fi] if w != v]
+
+    def reflected(fi, fj, v):
+        p = verts[v]
+        oi = others(fi, v)
+        oj = others(fj, v)
+        if len(oi) != 2 or len(oj) != 2:
+            return False
+        ai, bi = verts[oi[0]] - p, verts[oi[1]] - p
+        aj, bj = verts[oj[0]] - p, verts[oj[1]] - p
+        straight = (np.linalg.norm(ai + aj) <= tol and np.linalg.norm(bi + bj) <= tol)
+        crossed = (np.linalg.norm(ai + bj) <= tol and np.linalg.norm(bi + aj) <= tol)
+        return straight or crossed
+
+    paired = np.zeros(mesh.n_faces, dtype=bool)
+    n_pairs = 0
+    for fi in range(mesh.n_faces):
+        if paired[fi]:
+            continue
+        found = False
+        for v in faces[fi]:
+            for fj in vertex_faces[int(v)]:
+                if fj <= fi or paired[fj]:
+                    continue
+                if reflected(fi, fj, int(v)):
+                    paired[fi] = paired[fj] = True
+                    n_pairs += 1
+                    found = True
+                    break
+            if found:
+                break
+
+    return MeshStats(h=h, n_faces=mesh.n_faces, n_symmetric_pairs=n_pairs,
+                     n_unpaired=mesh.n_faces - 2 * n_pairs)
+
+
+def _levels(mesh, levels):
+    meshes = [mesh]
+    for _ in range(levels):
+        meshes.append(sq.bisect(meshes[-1]))
+    return meshes
+
+
+def _permuted_torus():
+    mesh = _levels(sq.generate_base(sq.torus(2.0, 1.0), "struct_torus", 1), 2)[-1]
+    order = np.random.default_rng(7).permutation(mesh.n_faces)
+    return [FlatMesh(mesh.vertices, mesh.faces[order])]
+
+
+def _repeated_vertex_meshes():
+    # Faces 0 and 1 of the first mesh reflect through vertex 0 with opposite
+    # orientation (the crossed assignment); faces 2 and 3 repeat a vertex.
+    # The second mesh's faces would reflect through their repeated vertex.
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.3, 1.0, 0.1],
+                      [-0.3, -1.0, -0.1], [-1.0, -0.2, 0.0]])
+    return [FlatMesh(verts, [[0, 1, 2], [0, 3, 4], [0, 0, 1], [1, 1, 2]]),
+            FlatMesh(verts[[0, 1, 4]], [[0, 0, 1], [0, 0, 2]])]
+
+
+def _near_reflection_meshes():
+    # One vertex of a point-reflected pair moved by 1e-12 and by 1e-9 times h.
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.3, 1.0, 0.1],
+                      [-1.0, -0.2, 0.0], [-0.3, -1.0, -0.1]])
+    h = mesh_size(FlatMesh(verts, [[0, 1, 2], [0, 3, 4]]))
+    return [FlatMesh(np.vstack([verts[:4], verts[4] + [eps * h, 0.0, 0.0]]),
+                     [[0, 1, 2], [0, 3, 4]]) for eps in (0.5e-12, 1e-9)]
+
+
+_EMPTY_MESH = FlatMesh(np.zeros((0, 3)), np.zeros((0, 3), int))
+
+_CENSUS_CASES = {
+    "generic_triangle": lambda: _levels(FlatMesh(
+        [[0.0, 0.0, 0.0], [2.1, 0.3, 0.0], [0.7, 1.9, 0.4]], [[0, 1, 2]]), 4),
+    "octa_sphere": lambda: _levels(
+        sq.generate_base(sq.sphere(1.0), "octa_sphere", 1), 3),
+    "struct_torus": lambda: _levels(
+        sq.generate_base(sq.torus(2.0, 1.0), "struct_torus", 1), 3),
+    "scaled_ellipsoid": lambda: _levels(
+        sq.generate_base(sq.ellipsoid(1.0, 1.0, 0.6), "scaled_ellipsoid", 2), 3),
+    "permuted_torus": _permuted_torus,
+    "repeated_vertex": _repeated_vertex_meshes,
+    "near_reflection": _near_reflection_meshes,
+    "empty": lambda: [_EMPTY_MESH],
+}
+
+
 class TestSymmetryCensus:
+    @pytest.mark.parametrize("case", list(_CENSUS_CASES))
+    def test_matches_reference_loop(self, case):
+        for mesh in _CENSUS_CASES[case]():
+            assert sq.symmetry_census(mesh) == _census_reference(mesh)
+
+    def test_repeated_vertex_and_empty_meshes(self):
+        counts = [(st.n_symmetric_pairs, st.n_unpaired)
+                  for st in map(sq.symmetry_census, _repeated_vertex_meshes())]
+        assert counts == [(1, 2), (0, 2)]
+        assert [sq.symmetry_census(m).n_symmetric_pairs
+                for m in _near_reflection_meshes()] == [1, 0]
+        assert sq.symmetry_census(_EMPTY_MESH) == MeshStats(0.0, 0, 0, 0)
+
     def test_invariant_partition(self, unit_sphere):
         m = sq.bisect(sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 1)))
         st = sq.symmetry_census(m)
