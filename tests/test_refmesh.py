@@ -275,7 +275,8 @@ def _repeated_vertex_meshes():
 
 
 def _near_reflection_meshes():
-    # One vertex of a point-reflected pair moved by 1e-12 and by 1e-9 times h.
+    # One vertex of a point-reflected pair moved by 0.5e-12*h (inside the
+    # census tolerance) and by 1e-9*h (outside it).
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.3, 1.0, 0.1],
                       [-1.0, -0.2, 0.0], [-0.3, -1.0, -0.1]])
     h = mesh_size(FlatMesh(verts, [[0, 1, 2], [0, 3, 4]]))
@@ -307,7 +308,7 @@ class TestSymmetryCensus:
         for mesh in _CENSUS_CASES[case]():
             assert sq.symmetry_census(mesh) == _census_reference(mesh)
 
-    def test_repeated_vertex_and_empty_meshes(self):
+    def test_known_counts_on_small_meshes(self):
         counts = [(st.n_symmetric_pairs, st.n_unpaired)
                   for st in map(sq.symmetry_census, _repeated_vertex_meshes())]
         assert counts == [(1, 2), (0, 2)]
