@@ -157,7 +157,6 @@ class ElementBatch:
 
 
 def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface, degree: int,
-                           basis: Optional[LagrangeBasis] = None,
                            tol: float = DEFAULT_TOL,
                            max_iter: int = DEFAULT_MAX_ITER) -> ElementBatch:
     """Curved elements for every face, with shared-edge nodes deduplicated.
@@ -168,8 +167,7 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface, degree: int
     first) parametrization, so both adjacent faces name the identical
     floating-point point and receive the identical projection.
     """
-    if basis is None:
-        basis = lagrange_basis(degree)
+    basis = lagrange_basis(degree)
     k = degree
     faces = mesh.faces
     verts = mesh.vertices

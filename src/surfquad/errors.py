@@ -27,7 +27,8 @@ class OutsideTube(SurfquadError):
 
 
 class DegeneratePoint(SurfquadError):
-    """Curvature requested at a point where the formula is singular."""
+    """A formula is singular or not finite at a point: curvature where it is
+    undefined, or an element integral that is NaN or infinite."""
 
 
 class TopologyMismatch(SurfquadError):

@@ -10,8 +10,8 @@ degrees used here, with a condition-number warning past 1e12.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -66,10 +66,17 @@ def _monomial_powers(degree: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _monomial_matrix(powers: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    s = pts[:, 0][:, None] ** powers[:, 0][None, :]
-    t = pts[:, 1][:, None] ** powers[:, 1][None, :]
-    return s * t
+def _monomial_matrix(powers: np.ndarray, pts: np.ndarray, ds: int = 0,
+                     dt: int = 0) -> np.ndarray:
+    """Monomials s^a t^b at (q, 2) points, or their first derivative in s
+    (ds=1) or t (dt=1); shape (q, N)."""
+    a, b = powers[:, 0], powers[:, 1]
+    m = pts[:, 0][:, None] ** np.maximum(a - ds, 0)
+    if ds:
+        m = m * a
+    if dt:
+        m = m * b
+    return m * pts[:, 1][:, None] ** np.maximum(b - dt, 0)
 
 
 @dataclass(frozen=True)
@@ -107,17 +114,8 @@ class LagrangeBasis:
         """(d/ds, d/dt) of every basis function at (..., 2) points."""
         self._check_condition()
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        a = self.powers[:, 0][None, :].astype(float)
-        b = self.powers[:, 1][None, :].astype(float)
-        s = pts[:, 0][:, None]
-        t = pts[:, 1][:, None]
-        sa1 = np.where(self.powers[:, 0] >= 1,
-                       s ** np.maximum(self.powers[:, 0] - 1, 0), 0.0)
-        tb1 = np.where(self.powers[:, 1] >= 1,
-                       t ** np.maximum(self.powers[:, 1] - 1, 0), 0.0)
-        ds = (a * sa1 * t ** self.powers[:, 1]) @ self.coeffs
-        dt = (s ** self.powers[:, 0] * b * tb1) @ self.coeffs
-        return ds, dt
+        return (_monomial_matrix(self.powers, pts, ds=1) @ self.coeffs,
+                _monomial_matrix(self.powers, pts, dt=1) @ self.coeffs)
 
     def interpolate(self, nodal_values, pts) -> np.ndarray:
         """Evaluate the interpolant of (N, d) nodal data at (..., 2) points."""
@@ -128,27 +126,15 @@ class LagrangeBasis:
         return self.eval(pts) @ vals
 
 
-_basis_cache: dict[int, LagrangeBasis] = {}
-_basis_lock = threading.Lock()
-
-
+@functools.cache
 def lagrange_basis(degree: int) -> LagrangeBasis:
-    """Cached basis of the given degree (initialize-once, thread-safe)."""
-    basis = _basis_cache.get(degree)
-    if basis is not None:
-        return basis
-    with _basis_lock:
-        basis = _basis_cache.get(degree)
-        if basis is None:
-            node_set = reference_nodes(degree)
-            powers = _monomial_powers(degree)
-            V = _monomial_matrix(powers, node_set.nodes)
-            coeffs = np.linalg.solve(V, np.eye(len(V)))
-            basis = LagrangeBasis(degree=degree, node_set=node_set,
-                                  powers=powers, coeffs=coeffs,
-                                  condition=float(np.linalg.cond(V)))
-            _basis_cache[degree] = basis
-    return basis
+    """Cached basis of the given degree."""
+    node_set = reference_nodes(degree)
+    powers = _monomial_powers(degree)
+    V = _monomial_matrix(powers, node_set.nodes)
+    coeffs = np.linalg.solve(V, np.eye(len(V)))
+    return LagrangeBasis(degree=degree, node_set=node_set, powers=powers,
+                         coeffs=coeffs, condition=float(np.linalg.cond(V)))
 
 
 def eval_basis(basis: LagrangeBasis, point) -> np.ndarray:
@@ -256,10 +242,10 @@ def cheb_grid(n: int) -> ChebGrid:
     return ChebGrid(n=n, nodes_1d=nodes)
 
 
-def _lebesgue_max(nodes: np.ndarray, bary_w: np.ndarray, sample: np.ndarray,
-                  chunk: int = 20000) -> float:
+def _lebesgue_max(nodes: np.ndarray, bary_w: np.ndarray,
+                  sample: np.ndarray) -> float:
     """Max over the sample grid of sum_i |l_i(x)| in barycentric form."""
-    best = 1.0
+    best, chunk = 1.0, 20000   # samples per block, to bound the temporaries
     for lo in range(0, len(sample), chunk):
         x = sample[lo:lo + chunk]
         diff = x[:, None] - nodes[None, :]

@@ -2,13 +2,16 @@
 
 Two integrand modes are supported: ``exact_f`` evaluates the integrand at the
 curved chart points, ``interp_f`` samples it only at the projected nodes (on
-the surface) and integrates its degree-k interpolant.  Totals are reduced
-pairwise over an intrinsic canonical element order, so results are
-bit-reproducible and independent of element traversal or thread count.
+the surface) and integrates its degree-k interpolant.  The total is
+``math.fsum`` of the element values: the one correctly rounded sum, whatever
+the element order.  An element's value does not depend on its chunk or
+thread, so totals are bit-reproducible and independent of face numbering and
+thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +22,8 @@ import numpy as np
 from . import quadrules
 from .curved import (_CENTROID, CurvedElement, ElementBatch, _basis_tables,
                      _chart_metric, _folded_charts, build_surface_elements)
-from .errors import DegenerateJacobian, IntegrationError, UnsupportedDegree
+from .errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
+                     UnsupportedDegree)
 from .refmesh import FlatMesh
 from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface
 
@@ -68,40 +72,15 @@ def _verify_rule(rule: QuadratureRule, tol: float = 1e-13) -> None:
                     f"{got!r} vs {monomial_integral(a, b)!r}")
 
 
-_rule_cache: dict[int, QuadratureRule] = {}
-
-
+@functools.cache
 def builtin_rule(degree: int) -> QuadratureRule:
     """Embedded symmetric rule exact to the requested degree (1..12)."""
     if not isinstance(degree, int) or not 1 <= degree <= 12:
         raise UnsupportedDegree(f"no embedded rule of degree {degree!r}")
-    rule = _rule_cache.get(degree)
-    if rule is None:
-        pts, wts = quadrules.rule_table(degree)
-        rule = QuadratureRule(degree=degree, points=pts, weights=wts)
-        _verify_rule(rule)
-        _rule_cache[degree] = rule
+    pts, wts = quadrules.rule_table(degree)
+    rule = QuadratureRule(degree=degree, points=pts, weights=wts)
+    _verify_rule(rule)
     return rule
-
-
-def pairwise_sum(values: np.ndarray) -> float:
-    """Deterministic pairwise reduction (order fixed by the input array)."""
-    vals = np.asarray(values, dtype=float)
-    n = len(vals)
-    if n == 0:
-        return 0.0
-    vals = vals.copy()
-    while n > 1:
-        half = n // 2
-        vals[:half] += vals[n - half:n]
-        n = n - half
-    return float(vals[0])
-
-
-def _canonical_order(mesh: FlatMesh) -> np.ndarray:
-    """Element order keyed by sorted global vertex ids (traversal-invariant)."""
-    key = np.sort(mesh.faces, axis=1)
-    return np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
 
 
 def _nodal_values(mode: str, f: Callable, nodes: np.ndarray):
@@ -149,9 +128,12 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
                                                   f, f_nodal)
         tris = batch.mesh.vertices[batch.mesh.faces[lo:hi]]
         folded = _folded_charts(surface, centroid_tables, nodes, tris)
-        for mask, why in ((degenerate, "metric determinant <= 0"),
-                          (folded, "chart folds against the normal")):
-            failures.extend((lo + int(ci), DegenerateJacobian(why))
+        for mask, error, why in (
+                (degenerate, DegenerateJacobian, "metric determinant <= 0"),
+                (folded, DegenerateJacobian, "chart folds against the normal"),
+                (~np.isfinite(out[lo:hi]), DegeneratePoint,
+                 "element integral is not finite")):
+            failures.extend((lo + int(ci), error(why))
                             for ci in np.flatnonzero(mask))
 
     starts = range(0, batch.n_elements, _CHUNK)
@@ -177,6 +159,8 @@ def integrate_element(elem: CurvedElement, f: Callable, rule: QuadratureRule,
                                          _nodal_values(mode, f, nodes))
     if degenerate[0]:
         raise DegenerateJacobian("metric determinant <= 0 at a quadrature point")
+    if not np.isfinite(value[0]):
+        raise DegeneratePoint("element integral is not finite")
     return float(value[0])
 
 
@@ -190,9 +174,8 @@ def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
         batch = build_surface_elements(mesh, surface, k, tol=project_tol,
                                        max_iter=project_max_iter)
     values = _element_values(batch, rule, mode, f, surface, threads=threads)
-    order = _canonical_order(mesh)
-    total = pairwise_sum(values[order])
-    return IntegralResult(value=total, n_elements=batch.n_elements, mode=mode, k=k)
+    return IntegralResult(value=math.fsum(values.tolist()),
+                          n_elements=batch.n_elements, mode=mode, k=k)
 
 
 def constant_one(pts: np.ndarray) -> np.ndarray:

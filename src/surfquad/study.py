@@ -173,8 +173,6 @@ def fit_slope(report: ConvergenceReport, tail: int = 3) -> float:
     if len(usable) < 2:
         raise InsufficientData(f"{len(usable)} usable rows, need >= 2")
     usable = usable[-tail:] if tail >= 2 else usable[-2:]
-    if len(usable) < 2:
-        raise InsufficientData("tail selection left fewer than 2 rows")
     logh = np.log([h for h, _ in usable])
     loge = np.log([e for _, e in usable])
     slope, _ = np.polyfit(logh, loge, 1)

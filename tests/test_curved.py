@@ -185,7 +185,7 @@ class TestWatertight:
         perm = np.random.default_rng(3).permutation(mesh.n_faces)
         shuffled = FlatMesh(mesh.vertices, mesh.faces[perm])
         got = sq.integrate_surface(shuffled, unit_sphere, f, 3, rule).value
-        assert got == base   # canonical reduction order, bitwise equal
+        assert got == base   # correctly rounded total, bitwise equal
 
 
 @pytest.fixture(scope="module", params=[1, 4, 10])

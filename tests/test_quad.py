@@ -6,9 +6,8 @@ import pytest
 
 import surfquad as sq
 from surfquad.curved import build_surface_elements
-from surfquad.errors import IntegrationError, UnsupportedDegree
-from surfquad.quad import (MODE_EXACT, MODE_INTERP, monomial_integral,
-                           pairwise_sum)
+from surfquad.errors import DegeneratePoint, IntegrationError, UnsupportedDegree
+from surfquad.quad import MODE_EXACT, MODE_INTERP, monomial_integral
 from surfquad.quadrules import _gauss_01
 from surfquad.refmesh import FlatMesh
 
@@ -62,8 +61,9 @@ class TestBuiltinRules:
         got14 = float(rule.weights @ rule.points[:, 0]**14)
         assert abs(got14 - monomial_integral(14, 0)) > 1e-13
 
-    @pytest.mark.parametrize("bad", [0, 13, -1])
+    @pytest.mark.parametrize("bad", [0, 13, -1, 12.0])
     def test_unsupported_degree(self, bad):
+        sq.builtin_rule(12)   # a cached int key must not admit the float 12.0
         with pytest.raises(UnsupportedDegree):
             sq.builtin_rule(bad)
 
@@ -136,15 +136,47 @@ class TestIntegrateElement:
 
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
     def test_element_sum_matches_surface_integral(self, torus21, mode):
-        mesh = sq.generate_base(torus21, "struct_torus", 1)
-        batch = build_surface_elements(mesh, torus21, 3)
+        # the total is the correctly rounded sum of the per-element values
         rule = sq.builtin_rule(12)
         f = torus21.gauss_curvature
-        per_element = [sq.integrate_element(batch.element(i), f, rule, mode=mode)
-                       for i in range(batch.n_elements)]
-        total = sq.integrate_surface(mesh, torus21, f, 3, rule, mode=mode,
-                                     batch=batch).value
-        assert math.fsum(per_element) == pytest.approx(total, abs=1e-14)
+        mesh = sq.generate_base(torus21, "struct_torus", 1)
+        for k, m in ((3, mesh), (2, sq.bisect(mesh))):
+            batch = build_surface_elements(m, torus21, k)
+            per_element = [sq.integrate_element(batch.element(i), f, rule,
+                                                mode=mode)
+                           for i in range(batch.n_elements)]
+            total = sq.integrate_surface(m, torus21, f, k, rule, mode=mode,
+                                         batch=batch).value
+            assert total == math.fsum(per_element), k
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_element_integral_names_faces(self, unit_sphere, mode,
+                                                     bad):
+        # f is `bad` near the north pole and `-bad` near the south pole
+        mesh = sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 1))
+        batch = build_surface_elements(mesh, unit_sphere, 2)
+        polar = np.any(np.abs(batch.element_nodes()[..., 2]) == 1.0, axis=1)
+        assert 0 < polar.sum() < batch.n_elements
+
+        def f(p):
+            z = p[..., 2]
+            return np.where(z > 0.9, bad, np.where(z < -0.9, -bad, 1.0))
+
+        rule = sq.builtin_rule(12)
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as err:
+            sq.integrate_surface(mesh, unit_sphere, f, 2, rule, mode=mode,
+                                 batch=batch)
+        assert [face for face, _ in err.value.failures] == list(
+            np.flatnonzero(polar))
+        assert all(isinstance(e, DegeneratePoint) for _, e in err.value.failures)
+        for i in range(batch.n_elements):
+            if polar[i]:
+                with np.errstate(invalid="ignore"), pytest.raises(DegeneratePoint):
+                    sq.integrate_element(batch.element(i), f, rule, mode=mode)
+            else:
+                assert math.isfinite(
+                    sq.integrate_element(batch.element(i), f, rule, mode=mode))
 
 
 class TestIntegrateSurface:
@@ -251,11 +283,3 @@ class TestIntegrateSurface:
                                  lambda p: np.ones(p.shape[:-1]), 1,
                                  sq.builtin_rule(4), mode="nope")
 
-
-class TestPairwiseSum:
-    def test_matches_fsum(self, rng):
-        vals = rng.normal(size=1001) * 10.0**rng.integers(-8, 8, size=1001)
-        assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-12)
-
-    def test_empty(self):
-        assert pairwise_sum(np.array([])) == 0.0

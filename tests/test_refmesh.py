@@ -121,7 +121,7 @@ def _bisect_reference(mesh):
 class TestBisect:
     @pytest.mark.parametrize("case", ["octa_sphere", "struct_torus", "permuted"])
     def test_numbering_matches_first_appearance(self, unit_sphere, torus21, case):
-        # OFF bytes and the canonical reduction order depend on this numbering
+        # OFF bytes depend on this numbering; integral totals do not
         if case == "struct_torus":
             m = sq.generate_base(torus21, "struct_torus", 1)
         else:
