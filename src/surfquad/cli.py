@@ -18,7 +18,7 @@ from .errors import IntegrationError, NoConvergence, SurfquadError
 from .interp import cheb_lebesgue, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
 from .refmesh import bisect, generate_base, mesh_size, write_off
-from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, parse_surface
+from .surfaces import parse_surface
 
 _MODES = {"exact": MODE_EXACT, "interp": MODE_INTERP}
 
@@ -56,12 +56,6 @@ def _add_common(p, *, levels_default=3, with_k=True):
                    default=os.environ.get("SURFQUAD_THREADS", "1"),
                    help="worker threads for the element loop "
                         "(default $SURFQUAD_THREADS or 1)")
-    p.add_argument("--proj-tol", type=float, default=DEFAULT_TOL,
-                   help=f"closest-point projection tolerance (default {DEFAULT_TOL:g})")
-    p.add_argument("--proj-max-iter", type=_ranged_int("--proj-max-iter", 1, 500),
-                   default=DEFAULT_MAX_ITER,
-                   help="closest-point projection iteration budget "
-                        f"(default {DEFAULT_MAX_ITER})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,9 +141,7 @@ def run(args, parser) -> int:
             mesh = reproject(mesh, surface)
         write_off(mesh, args.out)
         if args.curved_nodes:
-            batch = build_surface_elements(mesh, surface, args.k,
-                                           tol=args.proj_tol,
-                                           max_iter=args.proj_max_iter)
+            batch = build_surface_elements(mesh, surface, args.k)
             # Format each unique node once; shared nodes repeat per slot.
             rows = [f"{x!r},{y!r},{z!r}" for x, y, z in batch.unique_nodes.tolist()]
             lines = ["face,node,x,y,z"]
@@ -164,9 +156,7 @@ def run(args, parser) -> int:
         rule = builtin_rule(args.rule_degree)
         f = study.integrand_for(surface, args.f)
         result = integrate_surface(mesh, surface, f, args.k, rule,
-                                   mode=_MODES[args.mode], threads=args.threads,
-                                   project_tol=args.proj_tol,
-                                   project_max_iter=args.proj_max_iter)
+                                   mode=_MODES[args.mode], threads=args.threads)
         text = ("value,n_elements,h\n"
                 f"{result.value!r},{result.n_elements},{mesh_size(mesh)!r}\n")
         _emit(text, args.out)
@@ -178,9 +168,7 @@ def run(args, parser) -> int:
                                        args.f, args.levels,
                                        mode=_MODES[args.mode], rule=rule,
                                        threads=args.threads,
-                                       reproject_vertices=args.project_vertices,
-                                       project_tol=args.proj_tol,
-                                       project_max_iter=args.proj_max_iter)
+                                       reproject_vertices=args.project_vertices)
         text = (study.convergence_csv(report) if args.format == "csv"
                 else study.convergence_json(report))
         _emit(text, args.out)
@@ -193,9 +181,7 @@ def run(args, parser) -> int:
         rule = builtin_rule(args.rule_degree)
         report = study.run_runge(surface, mesh, range(args.k_min, args.k_max + 1),
                                  args.f, mode=_MODES[args.mode], rule=rule,
-                                 threads=args.threads,
-                                 project_tol=args.proj_tol,
-                                 project_max_iter=args.proj_max_iter)
+                                 threads=args.threads)
         text = (study.runge_csv(report) if args.format == "csv"
                 else study.runge_json(report))
         _emit(text, args.out)

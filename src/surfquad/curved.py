@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateJacobian, IntegrationError, NoConvergence, OutsideTube
 from .interp import LagrangeBasis, lagrange_basis
 from .refmesh import FlatMesh, edge_table
-from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface, project_many
+from .surfaces import ImplicitSurface, project_many
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,14 @@ def _folded_charts(surface: ImplicitSurface, centroid_tables: tuple,
 
 
 def build_element(surface: ImplicitSurface, flat_tri, degree: int,
-                  basis: Optional[LagrangeBasis] = None,
-                  tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> CurvedElement:
+                  basis: Optional[LagrangeBasis] = None) -> CurvedElement:
     """Project every reference node of one flat triangle onto the surface."""
     flat_tri = np.asarray(flat_tri, dtype=float)
     if basis is None:
         basis = lagrange_basis(degree)
     flat_nodes = affine_chart_points(flat_tri, basis.nodes)
     try:
-        projected, _, _, _ = project_many(surface, flat_nodes, tol=tol,
-                                          max_iter=max_iter)
+        projected, _, _, _ = project_many(surface, flat_nodes)
     except NoConvergence as exc:
         raise NoConvergence(exc.iterations, exc.residual,
                             f"projection failed for element node(s) {exc.indices}: "
@@ -156,9 +153,8 @@ class ElementBatch:
             basis=self.basis)
 
 
-def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface, degree: int,
-                           tol: float = DEFAULT_TOL,
-                           max_iter: int = DEFAULT_MAX_ITER) -> ElementBatch:
+def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
+                           degree: int) -> ElementBatch:
     """Curved elements for every face, with shared-edge nodes deduplicated.
 
     Unique nodes are the referenced vertices, then k-1 nodes per edge of
@@ -203,8 +199,7 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface, degree: int
     flat_nodes = np.concatenate([verts[used], edge_flat.reshape(-1, 3),
                                  inner_flat.reshape(-1, 3)])
     try:
-        projected, _, _, _ = project_many(surface, flat_nodes, tol=tol,
-                                          max_iter=max_iter)
+        projected, _, _, _ = project_many(surface, flat_nodes)
     except (NoConvergence, OutsideTube) as exc:
         raise IntegrationError(_locate_failures(node_index, exc)) from exc
     return ElementBatch(degree=degree, basis=basis, mesh=mesh,

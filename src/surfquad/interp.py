@@ -188,8 +188,8 @@ def random_poly(degree: int, rng: np.random.Generator) -> np.ndarray:
     return coeffs
 
 
-def interp_gradient_defect(degree: int, coeffs: np.ndarray,
-                           rule=None) -> tuple[float, float]:
+def interp_gradient_defect(degree: int,
+                           coeffs: np.ndarray) -> tuple[float, float]:
     """Integrals over the reference triangle of the gradient components of
     (p - I_k p), for a polynomial p of total degree k+1.
 
@@ -201,10 +201,8 @@ def interp_gradient_defect(degree: int, coeffs: np.ndarray,
         raise ValueError("degree must be in [1, 12]")
     coeffs = np.asarray(coeffs, dtype=float)
     basis = lagrange_basis(degree)
-
-    if rule is None:
-        from .quad import builtin_rule
-        rule = builtin_rule(min(12, degree + 2))
+    from .quad import builtin_rule
+    rule = builtin_rule(min(12, degree + 2))
 
     nodal = poly_eval(coeffs, basis.nodes)
     ds_c, dt_c = poly_grad(coeffs)

@@ -25,7 +25,7 @@ from .curved import (_CENTROID, CurvedElement, ElementBatch, _basis_tables,
 from .errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
                      UnsupportedDegree)
 from .refmesh import FlatMesh
-from .surfaces import DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface
+from .surfaces import ImplicitSurface
 
 MODE_EXACT = "exact_f"
 MODE_INTERP = "interp_f"
@@ -75,7 +75,7 @@ def _verify_rule(rule: QuadratureRule, tol: float = 1e-13) -> None:
 @functools.cache
 def builtin_rule(degree: int) -> QuadratureRule:
     """Embedded symmetric rule exact to the requested degree (1..12)."""
-    if not isinstance(degree, int) or not 1 <= degree <= 12:
+    if type(degree) is not int or not 1 <= degree <= 12:   # not bool either
         raise UnsupportedDegree(f"no embedded rule of degree {degree!r}")
     pts, wts = quadrules.rule_table(degree)
     rule = QuadratureRule(degree=degree, points=pts, weights=wts)
@@ -101,11 +101,13 @@ def _chart_integrals(tables: tuple, weights: np.ndarray, nodes: np.ndarray,
         fvals = np.asarray(f(pts), dtype=float)
         if fvals.shape != pts.shape[:-1]:
             fvals = np.broadcast_to(fvals, pts.shape[:-1])
-    else:
-        fvals = (tables[0] @ f_nodal[..., None])[..., 0]
-    # one product per element, as in _chart_metric: one (C, q) @ (q,) product
-    # sums the chunk's last C % 4 rows in another order than the rest
-    return ((fvals * metric)[:, None] @ weights)[:, 0], degenerate
+    # a non-finite f gives non-finite element values; callers name their faces
+    with np.errstate(invalid="ignore"):
+        if f_nodal is not None:
+            fvals = (tables[0] @ f_nodal[..., None])[..., 0]
+        # one product per element, as in _chart_metric: one (C, q) @ (q,)
+        # product sums the chunk's last C % 4 rows in another order
+        return ((fvals * metric)[:, None] @ weights)[:, 0], degenerate
 
 
 def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
@@ -166,13 +168,13 @@ def integrate_element(elem: CurvedElement, f: Callable, rule: QuadratureRule,
 
 def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
                       k: int, rule: QuadratureRule, mode: str = MODE_INTERP,
-                      threads: int = 1, batch: ElementBatch | None = None,
-                      project_tol: float = DEFAULT_TOL,
-                      project_max_iter: int = DEFAULT_MAX_ITER) -> IntegralResult:
+                      threads: int = 1,
+                      batch: ElementBatch | None = None) -> IntegralResult:
     """Integral of f over the degree-k curved triangulation of the mesh."""
     if batch is None:
-        batch = build_surface_elements(mesh, surface, k, tol=project_tol,
-                                       max_iter=project_max_iter)
+        batch = build_surface_elements(mesh, surface, k)
+    elif batch.mesh is not mesh or batch.degree != k:
+        raise ValueError("batch must hold the degree-k elements of this mesh")
     values = _element_values(batch, rule, mode, f, surface, threads=threads)
     return IntegralResult(value=math.fsum(values.tolist()),
                           n_elements=batch.n_elements, mode=mode, k=k)

@@ -21,8 +21,7 @@ from .interp import COND_LIMIT, lagrange_basis
 from .quad import (MODE_INTERP, QuadratureRule, builtin_rule, constant_one,
                    integrate_surface)
 from .refmesh import FlatMesh, bisect, generate_base, mesh_size, project_vertices
-from .surfaces import (DEFAULT_MAX_ITER, DEFAULT_TOL, ImplicitSurface,
-                       surface_area_exact)
+from .surfaces import ImplicitSurface, surface_area_exact
 
 ERROR_FLOOR = 1e-13
 
@@ -93,9 +92,7 @@ def exact_target(surface: ImplicitSurface, f_name: str) -> float:
 def run_convergence(surface: ImplicitSurface, kind: str, resolution: int, k: int,
                     f_name: str, levels: int, mode: str = MODE_INTERP,
                     rule: Optional[QuadratureRule] = None, threads: int = 1,
-                    reproject_vertices: bool = False,
-                    project_tol: float = DEFAULT_TOL,
-                    project_max_iter: int = DEFAULT_MAX_ITER) -> ConvergenceReport:
+                    reproject_vertices: bool = False) -> ConvergenceReport:
     """Refine ``levels`` times from one shared base mesh and tabulate errors."""
     if rule is None:
         rule = builtin_rule(12)
@@ -108,8 +105,7 @@ def run_convergence(surface: ImplicitSurface, kind: str, resolution: int, k: int
     for level in range(levels + 1):
         study_mesh = project_vertices(mesh, surface) if reproject_vertices else mesh
         result = integrate_surface(study_mesh, surface, f, k, rule, mode=mode,
-                                   threads=threads, project_tol=project_tol,
-                                   project_max_iter=project_max_iter)
+                                   threads=threads)
         err = error_metric(result.value, exact)
         floored = err <= ERROR_FLOOR
         if floored:
@@ -136,8 +132,7 @@ def run_convergence(surface: ImplicitSurface, kind: str, resolution: int, k: int
 
 def run_runge(surface: ImplicitSurface, mesh: FlatMesh, k_range, f_name: str,
               mode: str = MODE_INTERP, rule: Optional[QuadratureRule] = None,
-              threads: int = 1, project_tol: float = DEFAULT_TOL,
-              project_max_iter: int = DEFAULT_MAX_ITER) -> RungeReport:
+              threads: int = 1) -> RungeReport:
     """Sweep the element degree on one fixed mesh (equidistant nodes)."""
     ks = sorted(set(int(k) for k in k_range))
     if any(k < 1 or k > 12 for k in ks):
@@ -153,8 +148,7 @@ def run_runge(surface: ImplicitSurface, mesh: FlatMesh, k_range, f_name: str,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = integrate_surface(mesh, surface, f, k, rule, mode=mode,
-                                       threads=threads, project_tol=project_tol,
-                                       project_max_iter=project_max_iter)
+                                       threads=threads)
         rows.append(RungeRow(k=k, error=error_metric(result.value, exact),
                              cond_warning=basis.condition > COND_LIMIT))
     meta = {"surface": surface.name, "params": dict(surface.params),

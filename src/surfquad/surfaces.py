@@ -296,8 +296,8 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     NoConvergence if any point fails to converge within ``max_iter``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     if surface.analytic_project is not None:
         proj = np.asarray(surface.analytic_project(pts), dtype=float)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def torus21():
 @pytest.fixture(scope="session")
 def flat_ellipsoid():
     return sq.ellipsoid(1.0, 1.0, 0.6)
+
+
+@pytest.fixture()
+def one_iteration_projector(monkeypatch):
+    """Curved-node projection limited to one Newton iteration, so that it
+    fails on the ellipsoid, which has no closed-form projection."""
+    monkeypatch.setattr(sq.curved, "project_many",
+                        functools.partial(sq.surfaces.project_many, max_iter=1))
 
 
 @pytest.fixture()

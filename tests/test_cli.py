@@ -38,6 +38,15 @@ class TestParsing:
         assert exc.value.code == 2
         assert "0 < r < R" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--proj-tol 1e-13", "--proj-max-iter 50"])
+    def test_projection_flags_removed_exits_2(self, capsys, flag):
+        # the projection tolerance and budget are the projector's constants
+        with pytest.raises(SystemExit) as exc:
+            main(f"integrate --surface sphere:R=1 --kind octa_sphere "
+                 f"{flag}".split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_surface_key_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main("mesh --surface sphere:Q=1 --kind octa_sphere "
@@ -111,10 +120,10 @@ class TestIntegrateCommand:
         assert int(n) == 32
         assert float(value) == pytest.approx(4 * np.pi, rel=1e-2)
 
-    def test_numerical_failure_exits_1(self, capsys):
+    def test_numerical_failure_exits_1(self, capsys, one_iteration_projector):
         code = main("integrate --surface ellipsoid:a=1,b=1,c=0.6 "
                     "--kind scaled_ellipsoid --res 1 --levels 1 --k 4 "
-                    "--f gauss_curvature --proj-max-iter 1".split())
+                    "--f gauss_curvature".split())
         assert code == 1
         err = capsys.readouterr().err
         assert "face" in err and "node" in err

@@ -252,10 +252,11 @@ class TestGeometricConvergence:
 
 
 class TestFailureAttribution:
-    def test_projection_failures_name_faces_and_nodes(self, flat_ellipsoid):
+    def test_projection_failures_name_faces_and_nodes(self, flat_ellipsoid,
+                                                      one_iteration_projector):
         mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
         with pytest.raises(IntegrationError) as err:
-            build_surface_elements(mesh, flat_ellipsoid, 4, max_iter=1)
+            build_surface_elements(mesh, flat_ellipsoid, 4)
         assert err.value.failures
         face, sub = err.value.failures[0]
         assert face >= 0

@@ -61,9 +61,11 @@ class TestBuiltinRules:
         got14 = float(rule.weights @ rule.points[:, 0]**14)
         assert abs(got14 - monomial_integral(14, 0)) > 1e-13
 
-    @pytest.mark.parametrize("bad", [0, 13, -1, 12.0])
+    @pytest.mark.parametrize("bad", [0, 13, -1, 12.0, True])
     def test_unsupported_degree(self, bad):
-        sq.builtin_rule(12)   # a cached int key must not admit the float 12.0
+        # cached int keys must not admit the float 12.0 or the bool True
+        sq.builtin_rule(12)
+        sq.builtin_rule(1)
         with pytest.raises(UnsupportedDegree):
             sq.builtin_rule(bad)
 
@@ -164,7 +166,7 @@ class TestIntegrateElement:
             return np.where(z > 0.9, bad, np.where(z < -0.9, -bad, 1.0))
 
         rule = sq.builtin_rule(12)
-        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as err:
+        with pytest.raises(IntegrationError) as err:
             sq.integrate_surface(mesh, unit_sphere, f, 2, rule, mode=mode,
                                  batch=batch)
         assert [face for face, _ in err.value.failures] == list(
@@ -172,7 +174,7 @@ class TestIntegrateElement:
         assert all(isinstance(e, DegeneratePoint) for _, e in err.value.failures)
         for i in range(batch.n_elements):
             if polar[i]:
-                with np.errstate(invalid="ignore"), pytest.raises(DegeneratePoint):
+                with pytest.raises(DegeneratePoint):
                     sq.integrate_element(batch.element(i), f, rule, mode=mode)
             else:
                 assert math.isfinite(
@@ -268,13 +270,25 @@ class TestIntegrateSurface:
                     for perm in perms}
             assert len(vals) == 1, k
 
-    def test_failure_aggregation(self, flat_ellipsoid):
+    def test_failure_aggregation(self, flat_ellipsoid, one_iteration_projector):
         mesh = sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1)
         with pytest.raises(IntegrationError) as err:
             sq.integrate_surface(mesh, flat_ellipsoid,
                                  lambda p: np.ones(p.shape[:-1]), 4,
-                                 sq.builtin_rule(12), project_max_iter=1)
+                                 sq.builtin_rule(12))
         assert all(face >= 0 for face, _ in err.value.failures)
+
+    def test_batch_must_match_mesh_and_k(self, unit_sphere):
+        base = sq.generate_base(unit_sphere, "octa_sphere", 1)
+        mesh = sq.bisect(base)
+        f = lambda p: np.ones(p.shape[:-1])
+        rule = sq.builtin_rule(12)
+        batch = build_surface_elements(mesh, unit_sphere, 4)
+        for m, k in ((mesh, 2), (base, 4), (sq.bisect(base), 4)):
+            with pytest.raises(ValueError):
+                sq.integrate_surface(m, unit_sphere, f, k, rule, batch=batch)
+        given = sq.integrate_surface(mesh, unit_sphere, f, 4, rule, batch=batch)
+        assert given == sq.integrate_surface(mesh, unit_sphere, f, 4, rule)
 
     def test_unknown_mode(self, unit_sphere):
         mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)

@@ -92,8 +92,10 @@ class TestProjection:
         assert err.value.residual > 0
 
     def test_tol_validation(self, unit_sphere):
-        with pytest.raises(ValueError):
-            sq.project(unit_sphere, [2.0, 0.0, 0.0], tol=-1.0)
+        # a NaN or infinite tolerance would accept the Newton seed as is
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sq.project(unit_sphere, [2.0, 0.0, 0.0], tol=tol)
 
 
 class TestCurvature:
