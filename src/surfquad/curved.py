@@ -52,33 +52,42 @@ _CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
 
 
 def _basis_tables(basis: LagrangeBasis, ref_pts) -> tuple:
-    """Basis values and their d/ds, d/dt at (q, 2) reference points, each (q, N)."""
+    """Basis values L (q, N) at (q, 2) reference points and the stacked
+    derivative table D = [d/ds; d/dt]^T, (N, 2q) and contiguous."""
     ds, dt = basis.eval_grad(ref_pts)
-    return basis.eval(ref_pts), ds, dt
+    return basis.eval(ref_pts), np.ascontiguousarray(np.concatenate([ds, dt]).T)
+
+
+def _chart_points(tables: tuple, nodes: np.ndarray) -> np.ndarray:
+    """Chart points (C, q, 3) of (C, N, 3) element nodes."""
+    return tables[0] @ nodes
 
 
 def _chart_metric(tables: tuple, nodes: np.ndarray):
-    """Chart points and d/ds, d/dt Jacobian columns, each (C, q, 3), and the
-    metric determinant det(J^T J) (C, q) of (C, N, 3) element nodes."""
-    L, Ls, Lt = tables
-    # One (q, N) @ (N, 3) BLAS product per element: an element's bits do not
+    """d/ds and d/dt Jacobian columns, each (C, 3, q), and the metric
+    determinant det(J^T J) (C, q) of (C, N, 3) element nodes."""
+    D = tables[1]
+    q = D.shape[1] // 2
+    # One (3, N) @ (N, 2q) BLAS product per element: an element's bits do not
     # depend on its chunk or its place in it.
-    pts, js, jt = L @ nodes, Ls @ nodes, Lt @ nodes
-    ee = np.einsum("cqd,cqd->cq", js, js)
-    gg = np.einsum("cqd,cqd->cq", jt, jt)
-    ff = np.einsum("cqd,cqd->cq", js, jt)
-    return pts, js, jt, ee * gg - ff * ff
+    jac = nodes.transpose(0, 2, 1) @ D
+    js, jt = jac[..., :q], jac[..., q:]
+    ee = np.einsum("cdq,cdq->cq", js, js)
+    gg = np.einsum("cdq,cdq->cq", jt, jt)
+    ff = np.einsum("cdq,cdq->cq", js, jt)
+    return js, jt, ee * gg - ff * ff
 
 
 def _folded_charts(surface: ImplicitSurface, centroid_tables: tuple,
                   nodes: np.ndarray, flat_tris: np.ndarray) -> np.ndarray:
     """(C,) mask of charts that fold at the centroid: the curved chart flips
     against the normal relative to the (C, 3, 3) flat triangles."""
-    pts, js, jt, det = _chart_metric(centroid_tables, nodes)
-    normals = np.asarray(surface.grad_phi(pts[:, 0]), dtype=float)
+    js, jt, det = _chart_metric(centroid_tables, nodes)
+    normals = np.asarray(
+        surface.grad_phi(_chart_points(centroid_tables, nodes)[:, 0]), dtype=float)
     flat_cross = np.cross(flat_tris[:, 2] - flat_tris[:, 0],
                           flat_tris[:, 1] - flat_tris[:, 0])
-    orient = (np.einsum("cd,cd->c", np.cross(js[:, 0], jt[:, 0]), normals)
+    orient = (np.einsum("cd,cd->c", np.cross(js[..., 0], jt[..., 0]), normals)
               * np.einsum("cd,cd->c", flat_cross, normals))
     return (orient <= 0.0) | (det[:, 0] <= 0.0)
 
@@ -105,14 +114,18 @@ def build_element(surface: ImplicitSurface, flat_tri, degree: int,
 
 
 def chart_eval(elem: CurvedElement, ref_pt) -> MetricSample:
-    """Chart point, Jacobian and metric factor at one reference point."""
-    pts, js, jt, det = _chart_metric(_basis_tables(elem.basis, ref_pt),
-                                    elem.projected_nodes[None])
+    """Chart point, Jacobian and metric factor at one (2,) reference point."""
+    ref_pt = np.asarray(ref_pt, dtype=float)
+    if ref_pt.shape != (2,):
+        raise ValueError(f"expected one (2,) reference point, got {ref_pt.shape}")
+    tables = _basis_tables(elem.basis, ref_pt[None])
+    nodes = elem.projected_nodes[None]
+    js, jt, det = _chart_metric(tables, nodes)
     det = float(det[0, 0])
     if det <= 0.0:
         raise DegenerateJacobian(f"metric determinant {det:.3e} <= 0")
-    return MetricSample(point=pts[0, 0],
-                        jacobian=np.column_stack([js[0, 0], jt[0, 0]]),
+    return MetricSample(point=_chart_points(tables, nodes)[0, 0],
+                        jacobian=np.column_stack([js[0, :, 0], jt[0, :, 0]]),
                         g=float(np.sqrt(det)))
 
 

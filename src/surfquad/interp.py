@@ -104,18 +104,20 @@ class LagrangeBasis:
                 f"(cond ~ {self.condition:.2e})", IllConditionedWarning,
                 stacklevel=3)
 
+    def _table(self, pts, ds: int = 0, dt: int = 0) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        flat = _monomial_matrix(self.powers, pts.reshape(-1, 2), ds, dt) @ self.coeffs
+        return flat.reshape(pts.shape[:-1] + (self.count,))
+
     def eval(self, pts) -> np.ndarray:
         """Basis values at (..., 2) points; shape (..., N)."""
         self._check_condition()
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _monomial_matrix(self.powers, pts) @ self.coeffs
+        return self._table(pts)
 
     def eval_grad(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """(d/ds, d/dt) of every basis function at (..., 2) points."""
         self._check_condition()
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (_monomial_matrix(self.powers, pts, ds=1) @ self.coeffs,
-                _monomial_matrix(self.powers, pts, dt=1) @ self.coeffs)
+        return self._table(pts, ds=1), self._table(pts, dt=1)
 
     def interpolate(self, nodal_values, pts) -> np.ndarray:
         """Evaluate the interpolant of (N, d) nodal data at (..., 2) points."""

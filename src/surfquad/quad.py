@@ -21,7 +21,8 @@ import numpy as np
 
 from . import quadrules
 from .curved import (_CENTROID, CurvedElement, ElementBatch, _basis_tables,
-                     _chart_metric, _folded_charts, build_surface_elements)
+                     _chart_metric, _chart_points, _folded_charts,
+                     build_surface_elements)
 from .errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
                      UnsupportedDegree)
 from .refmesh import FlatMesh
@@ -94,17 +95,19 @@ def _chart_integrals(tables: tuple, weights: np.ndarray, nodes: np.ndarray,
                      f: Callable, f_nodal: np.ndarray | None):
     """Integrals of f over (C, N, 3) element nodes (from ``f_nodal`` if given)
     and the (C,) mask of elements with metric determinant <= 0."""
-    pts, _, _, det = _chart_metric(tables, nodes)
+    _, _, det = _chart_metric(tables, nodes)
     degenerate = np.any(det <= 0.0, axis=1)
     metric = np.sqrt(np.maximum(det, 0.0))
     if f_nodal is None:
+        pts = _chart_points(tables, nodes)
         fvals = np.asarray(f(pts), dtype=float)
         if fvals.shape != pts.shape[:-1]:
             fvals = np.broadcast_to(fvals, pts.shape[:-1])
     # a non-finite f gives non-finite element values; callers name their faces
     with np.errstate(invalid="ignore"):
         if f_nodal is not None:
-            fvals = (tables[0] @ f_nodal[..., None])[..., 0]
+            # one (1, N) @ (N, q) product per element
+            fvals = (f_nodal[:, None] @ tables[0].T)[:, 0]
         # one product per element, as in _chart_metric: one (C, q) @ (q,)
         # product sums the chunk's last C % 4 rows in another order
         return ((fvals * metric)[:, None] @ weights)[:, 0], degenerate

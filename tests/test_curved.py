@@ -7,6 +7,7 @@ import surfquad as sq
 from surfquad.curved import (_basis_tables, _chart_metric, affine_chart_points,
                              build_surface_elements)
 from surfquad.errors import DegenerateJacobian, IntegrationError, OutsideTube
+from surfquad.quad import _chart_integrals
 from surfquad.refmesh import FlatMesh
 
 
@@ -104,6 +105,13 @@ class TestChartEval:
                     - sq.chart_eval(el, (s, t - h)).point) / (2 * h)
             assert np.max(np.abs(jac[:, 0] - fd_s)) < 1e-5
             assert np.max(np.abs(jac[:, 1] - fd_t)) < 1e-5
+
+    def test_rejects_anything_but_one_point(self, unit_sphere):
+        mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)
+        el = sq.build_element(unit_sphere, mesh.vertices[mesh.faces[0]], 2)
+        for bad in ([[0.2, 0.3], [0.1, 0.1]], [[0.2, 0.3]], (0.2, 0.3, 0.1), 0.2):
+            with pytest.raises(ValueError):
+                sq.chart_eval(el, bad)
 
     def test_degenerate_triangle_rejected(self):
         surf = plane_surface()
@@ -214,12 +222,32 @@ class TestChartMetricKernel:
 
     def test_matches_per_element_dot(self, kernel_chunk):
         tables, nodes = kernel_chunk
-        pts, js, jt = (np.array([np.dot(t, n) for n in nodes]) for t in tables)
-        det = (np.sum(js * js, axis=-1) * np.sum(jt * jt, axis=-1)
-               - np.sum(js * jt, axis=-1) ** 2)
-        for got, ref in zip(_chart_metric(tables, nodes), (pts, js, jt, det)):
+        D = tables[1]
+        jac = np.array([np.dot(n.T, D) for n in nodes])
+        js, jt = np.split(jac, 2, axis=-1)
+        det = (np.sum(js * js, axis=1) * np.sum(jt * jt, axis=1)
+               - np.sum(js * jt, axis=1) ** 2)
+        for got, ref in zip(_chart_metric(tables, nodes), (js, jt, det)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestChartIntegrals:
+    @pytest.mark.parametrize("interp", [False, True])
+    def test_element_value_bits_independent_of_chunk(self, kernel_chunk, interp):
+        tables, nodes = kernel_chunk
+        weights = sq.builtin_rule(12).weights
+        f = lambda p: np.sin(p[..., 0]) * p[..., 2] + p[..., 1] ** 2
+
+        def values(nodes):
+            return _chart_integrals(tables, weights, nodes, f,
+                                    f(nodes) if interp else None)[0]
+
+        chunk = values(nodes)
+        perm = np.random.default_rng(5).permutation(len(nodes))
+        assert np.array_equal(values(nodes[perm]), chunk[perm])
+        for c in range(len(nodes)):
+            assert np.array_equal(values(nodes[c:c + 1]), chunk[c:c + 1])
 
 
 class TestGeometricConvergence:

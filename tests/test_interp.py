@@ -69,6 +69,20 @@ class TestBasis:
         basis = sq.lagrange_basis(4)
         assert abs(sq.eval_basis(basis, (s, t)).sum() - 1.0) < 1e-10
 
+    def test_leading_axes_match_row_by_row(self, rng):
+        basis = sq.lagrange_basis(3)
+        pts = rng.uniform(0.0, 0.5, size=(2, 3, 2))
+        nodal = rng.normal(size=(basis.count, 3))
+        vals, (ds, dt) = basis.eval(pts), basis.eval_grad(pts)
+        interp = basis.interpolate(nodal, pts)
+        assert vals.shape == ds.shape == dt.shape == (2, 3, basis.count)
+        assert interp.shape == (2, 3, 3)
+        for row, p in enumerate(pts):
+            rds, rdt = basis.eval_grad(p)
+            for got, ref in ((vals, basis.eval(p)), (ds, rds), (dt, rdt),
+                             (interp, basis.interpolate(nodal, p))):
+                np.testing.assert_allclose(got[row], ref, rtol=0, atol=1e-14)
+
     def test_linear_gradients(self):
         basis = sq.lagrange_basis(1)
         g = sq.eval_basis_grad(basis, (0.3, 0.2))

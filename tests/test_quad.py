@@ -270,6 +270,18 @@ class TestIntegrateSurface:
                     for perm in perms}
             assert len(vals) == 1, k
 
+    def test_interp_mode_forms_no_chart_points(self, unit_sphere, monkeypatch):
+        def chart_points(tables, nodes):
+            raise AssertionError("chart points formed")
+
+        monkeypatch.setattr(sq.quad, "_chart_points", chart_points)
+        mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)
+        f = lambda p: np.ones(p.shape[:-1])
+        rule = sq.builtin_rule(12)
+        sq.integrate_surface(mesh, unit_sphere, f, 2, rule, mode=MODE_INTERP)
+        with pytest.raises(AssertionError, match="chart points formed"):
+            sq.integrate_surface(mesh, unit_sphere, f, 2, rule, mode=MODE_EXACT)
+
     def test_failure_aggregation(self, flat_ellipsoid, one_iteration_projector):
         mesh = sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1)
         with pytest.raises(IntegrationError) as err:
