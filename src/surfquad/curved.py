@@ -66,12 +66,9 @@ def _chart_points(tables: tuple, nodes: np.ndarray) -> np.ndarray:
 def _chart_metric(tables: tuple, nodes: np.ndarray):
     """d/ds and d/dt Jacobian columns, each (C, 3, q), and the metric
     determinant det(J^T J) (C, q) of (C, N, 3) element nodes."""
-    D = tables[1]
-    q = D.shape[1] // 2
     # One (3, N) @ (N, 2q) BLAS product per element: an element's bits do not
     # depend on its chunk or its place in it.
-    jac = nodes.transpose(0, 2, 1) @ D
-    js, jt = jac[..., :q], jac[..., q:]
+    js, jt = np.split(nodes.transpose(0, 2, 1) @ tables[1], 2, axis=-1)
     ee = np.einsum("cdq,cdq->cq", js, js)
     gg = np.einsum("cdq,cdq->cq", jt, jt)
     ff = np.einsum("cdq,cdq->cq", js, jt)
