@@ -7,7 +7,8 @@ import pytest
 import surfquad as sq
 from surfquad.curved import build_surface_elements
 from surfquad.errors import DegeneratePoint, IntegrationError, UnsupportedDegree
-from surfquad.quad import MODE_EXACT, MODE_INTERP, monomial_integral
+from surfquad.quad import (MODE_EXACT, MODE_INTERP, _verify_rule,
+                           monomial_integral)
 from surfquad.quadrules import _gauss_01
 from surfquad.refmesh import FlatMesh
 
@@ -53,8 +54,8 @@ class TestBuiltinRules:
         assert want == pytest.approx(6.9374e-6, rel=1e-4)
 
     def test_degree12_not_exact_beyond_sharpness(self):
-        # the embedded degree-12 rule is a symmetrized Gauss product and so
-        # carries the family's odd bonus degree (13); inexactness shows at 14
+        # the degree-12 slot holds a 39-point rule exact through degree 13;
+        # inexactness shows at 14
         rule = sq.builtin_rule(12)
         got13 = float(rule.weights @ rule.points[:, 0]**13)
         assert abs(got13 - monomial_integral(13, 0)) <= 1e-13
@@ -68,6 +69,62 @@ class TestBuiltinRules:
         sq.builtin_rule(1)
         with pytest.raises(UnsupportedDegree):
             sq.builtin_rule(bad)
+
+
+POINT_COUNTS = (1, 3, 6, 6, 7, 12, 15, 16, 19, 25, 30, 39)
+PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+class TestRuleStructure:
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_fully_symmetric_compact_and_reproducible(self, degree):
+        rule = sq.builtin_rule(degree)
+        n = len(rule.weights)
+        assert n == POINT_COUNTS[degree - 1]
+        s, t = rule.points[:, 0], rule.points[:, 1]
+        lam = np.column_stack([1.0 - s - t, t, s])
+        for perm in PERMUTATIONS:
+            moved = lam[:, perm][:, [2, 1]]
+            dist = np.abs(moved[:, None, :] - rule.points[None]).max(axis=2)
+            match = dist.argmin(axis=1)
+            assert sorted(match) == list(range(n)), perm
+            assert dist[range(n), match].max() <= 1e-15, perm
+            assert np.abs(rule.weights[match] - rule.weights).max() <= 1e-15
+        sq.builtin_rule.cache_clear()
+        again = sq.builtin_rule(degree)
+        assert again is not rule
+        assert again.points.tobytes() == rule.points.tobytes()
+        assert again.weights.tobytes() == rule.weights.tobytes()
+
+    def test_oracle_rejects_small_relative_moment_errors(self):
+        # a conical Gauss product exact through degree 19, with its weights
+        # moved orthogonally to every monomial of degree <= 11 so that
+        # s^6 t^6 is off by 1e-10 relative: every moment error stays below
+        # an absolute 1e-13, the way a stalled polish would leave it
+        u, wu = _gauss_01(10, 1)
+        v, wv = _gauss_01(10, 0)
+        s = np.repeat(u, 10)
+        t = np.tile(v, 10) * (1.0 - s)
+        low = np.column_stack([s**a * t**b for a in range(12)
+                               for b in range(12 - a)])
+        bump = (s * t)**6 - low @ np.linalg.lstsq(low, (s * t)**6, rcond=None)[0]
+        eps = 1e-10 * monomial_integral(6, 6) / float(bump @ (s * t)**6)
+        rule = sq.QuadratureRule(degree=12, points=np.column_stack([s, t]),
+                                 weights=np.outer(wu, wv).ravel() + eps * bump)
+        moment = lambda a, b: float(rule.weights @ (s**a * t**b))
+        assert moment(6, 6) == pytest.approx(monomial_integral(6, 6) * (1 + 1e-10),
+                                             rel=1e-13)
+        assert max(abs(moment(a, b) - monomial_integral(a, b))
+                   for a in range(13) for b in range(13 - a)) <= 1e-13
+        with pytest.raises(AssertionError, match="degree-12 rule fails on s"):
+            _verify_rule(rule)
+
+    def test_oracle_rejects_nan(self):
+        rule = sq.builtin_rule(4)
+        weights = rule.weights.copy()
+        weights[0] = np.nan
+        with pytest.raises(AssertionError, match="fails on s"):
+            _verify_rule(sq.QuadratureRule(4, rule.points, weights))
 
 
 class TestComputedRules:
@@ -89,7 +146,7 @@ class TestComputedRules:
 
     def test_degree12_moments_in_exact_arithmetic(self):
         # the stored floats summed without rounding: only the rule's own
-        # data error remains, a few ulps when the Gauss data is correct
+        # data error remains, a few ulps when the polish has converged
         rule = sq.builtin_rule(12)
         s, t, w = ([Fraction(float(x)) for x in col]
                    for col in (rule.points[:, 0], rule.points[:, 1], rule.weights))
