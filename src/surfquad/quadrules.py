@@ -12,10 +12,10 @@ Degrees 1-6 are the classic rules (Strang and Fix 1973; Dunavant, IJNME 21,
 moment equations, with the orbit counts of the positive interior rules of
 Dunavant and of Xiao and Gimbutas (Comput. Math. Appl. 59, 2010); degrees
 8 and 9 reproduce Dunavant's.  Slot 12 holds a 39-point degree-13 rule,
-orbits (0, 5, 4), the member of its one-parameter family with the least
-degree-14 residual among those keeping every point 0.01 inside: Dunavant's
-37-point rules, orbits (1, 6, 3), err by 1.1e-5 on a degree-6 chart of the
-sphere's octant, this one by 4.6e-6.
+orbits (0, 5, 4): the member of that one-parameter family with the least
+degree-14 residual norm whose barycentric coordinates are all >= 0.01.
+Dunavant's 37-point rules, orbits (1, 6, 3), err by 1.1e-5 on a degree-6
+chart of the sphere's octant, this one by 4.6e-6.
 
 Points are (s, t) on {0 <= s <= 1, 0 <= t <= 1 - s}; weights sum to 1/2.
 """
@@ -86,7 +86,7 @@ def polished_rule(degree: int):
         d[:3, i:i + len(g) - 1] = np.reshape(dirs, (-1, 3)).T
         d[3, i + len(g) - 1] = 1.0
         for p in _PERMS[:size]:
-            base.append([*np.take(b0, p), 0.0])
+            base.append([b0[k] for k in p] + [0.0])
             lin.append(d[[*p, 3]])
         i += len(g)
     base, lin = np.array(base, dtype=float), np.array(lin)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -72,7 +73,6 @@ class TestBuiltinRules:
 
 
 POINT_COUNTS = (1, 3, 6, 6, 7, 12, 15, 16, 19, 25, 30, 39)
-PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
 class TestRuleStructure:
@@ -83,7 +83,7 @@ class TestRuleStructure:
         assert n == POINT_COUNTS[degree - 1]
         s, t = rule.points[:, 0], rule.points[:, 1]
         lam = np.column_stack([1.0 - s - t, t, s])
-        for perm in PERMUTATIONS:
+        for perm in itertools.permutations(range(3)):
             moved = lam[:, perm][:, [2, 1]]
             dist = np.abs(moved[:, None, :] - rule.points[None]).max(axis=2)
             match = dist.argmin(axis=1)
