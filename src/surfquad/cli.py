@@ -17,7 +17,7 @@ from .curved import build_surface_elements
 from .errors import IntegrationError, NoConvergence, SurfquadError
 from .interp import cheb_lebesgue, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
-from .refmesh import bisect, generate_base, mesh_size, write_off
+from .refmesh import bisect, generate_base, mesh_size, row_blocks, write_off
 from .surfaces import parse_surface
 
 _MODES = {"exact": MODE_EXACT, "interp": MODE_INTERP}
@@ -143,12 +143,14 @@ def run(args, parser) -> int:
         if args.curved_nodes:
             batch = build_surface_elements(mesh, surface, args.k)
             # Format each unique node once; shared nodes repeat per slot.
-            rows = [f"{x!r},{y!r},{z!r}" for x, y, z in batch.unique_nodes.tolist()]
-            lines = ["face,node,x,y,z"]
-            lines += [f"{fi},{ni},{rows[u]}"
-                      for fi, slots in enumerate(batch.node_index.tolist())
-                      for ni, u in enumerate(slots)]
-            _emit("\n".join(lines) + "\n", args.curved_nodes)
+            rows = [f"{x!r},{y!r},{z!r}" for _, block in row_blocks(batch.unique_nodes)
+                    for x, y, z in block]
+            with open(args.curved_nodes, "w", encoding="ascii") as fh:
+                fh.write("face,node,x,y,z\n")
+                for lo, block in row_blocks(batch.node_index):
+                    fh.write("".join([f"{fi},{ni},{rows[u]}\n"
+                                      for fi, slots in enumerate(block, lo)
+                                      for ni, u in enumerate(slots)]))
         return 0
 
     if args.command == "integrate":

@@ -317,13 +317,26 @@ def symmetry_census(mesh: FlatMesh) -> MeshStats:
 # OFF file I/O
 # ---------------------------------------------------------------------------
 
+# rows per written block: a text export holds one block of lines, never the
+# whole file
+_WRITE_BLOCK = 4096
+
+
+def row_blocks(table: np.ndarray):
+    """Yield (first row, rows as nested lists) for successive row blocks of
+    ``table``, ``_WRITE_BLOCK`` rows at a time."""
+    for lo in range(0, len(table), _WRITE_BLOCK):
+        yield lo, table[lo:lo + _WRITE_BLOCK].tolist()
+
+
 def write_off(mesh: FlatMesh, path) -> None:
     """ASCII OFF with shortest round-trip float formatting."""
-    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
-    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
-    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.faces.tolist()]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
+        for _, rows in row_blocks(mesh.vertices):
+            fh.write("".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in rows]))
+        for _, rows in row_blocks(mesh.faces):
+            fh.write("".join([f"3 {a} {b} {c}\n" for a, b, c in rows]))
 
 
 def read_off(path) -> FlatMesh:

@@ -26,6 +26,10 @@ DEFAULT_MAX_ITER = 50
 # number of gradient-flow steps used to seed the Newton iteration
 _FLOW_STEPS = 5
 
+# points per projection block: the iteration's temporaries (KKT stack,
+# Hessians, trial residuals) take about 700 B per point of a block
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class ImplicitSurface:
@@ -293,22 +297,66 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
 
     Returns (projected (n,3), signed distance (n,), iterations (n,),
     residuals (n,)).  Raises OutsideTube for degenerate seeds and
-    NoConvergence if any point fails to converge within ``max_iter``.
+    NoConvergence if any point fails to converge within ``max_iter``; both
+    name the failing points by their index in ``points``.
+
+    The points are projected in blocks of ``_BLOCK`` into outputs allocated
+    once, so the iteration's temporaries do not grow with the batch.  Every
+    operation on a point is elementwise: its bits do not depend on its block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
 
-    if surface.analytic_project is not None:
-        proj = np.asarray(surface.analytic_project(pts), dtype=float)
-        dist = np.sign(surface.phi(pts)) * np.linalg.norm(pts - proj, axis=-1)
-        resid = np.abs(surface.phi(proj))
-        return proj, dist, np.zeros(len(pts), dtype=int), resid
+    n = len(pts)
+    proj = np.empty((n, 3))
+    dist = np.empty(n)
+    iters = np.zeros(n, dtype=int)
+    resid = np.empty(n)
+    unconverged = np.zeros(n, dtype=bool)
+    outside, outside_indices = None, []
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        try:
+            if surface.analytic_project is not None:
+                proj[block] = surface.analytic_project(pts[block])
+                resid[block] = np.abs(surface.phi(proj[block]))
+            else:
+                unconverged[block] = _newton_block(
+                    surface, pts[block], proj[block], iters[block], resid[block],
+                    tol, max_iter)
+        except OutsideTube as exc:
+            if outside is None:
+                outside = exc
+            outside_indices += [lo + i for i in exc.indices]
+            continue
+        dist[block] = np.sign(surface.phi(pts[block])) * np.linalg.norm(
+            pts[block] - proj[block], axis=-1)
 
+    if outside is not None:
+        raise OutsideTube(str(outside), indices=outside_indices) from outside
+    if np.any(unconverged):
+        bad = np.flatnonzero(unconverged)
+        worst = int(bad[np.argmax(resid[bad])])
+        raise NoConvergence(int(iters[worst]), float(resid[worst]),
+                            indices=bad.tolist())
+    return proj, dist, iters, resid
+
+
+def _newton_block(surface: ImplicitSurface, pts: np.ndarray, y: np.ndarray,
+                  iters: np.ndarray, rnorm: np.ndarray, tol: float,
+                  max_iter: int) -> np.ndarray:
+    """Gradient flow, then damped Newton on the stationarity system, for one
+    block of points.
+
+    Writes the projections, iteration counts and residual norms into ``y``,
+    ``iters`` and ``rnorm`` (views of ``project_many``'s outputs) and returns
+    the mask of points still above tolerance.
+    """
     scale = np.maximum(1.0, np.linalg.norm(pts, axis=-1))
 
     # gradient-flow pre-steps: basin-safe seed on (near) the zero set
-    y = pts.copy()
+    y[:] = pts
     for _ in range(_FLOW_STEPS):
         g = surface.grad_phi(y)
         g2 = np.einsum("ij,ij->i", g, g)
@@ -331,8 +379,7 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
         return np.concatenate([stat, surface.phi(yv)[:, None]], axis=1)
 
     F = resid_vec(y, lam, pts)
-    rnorm = np.linalg.norm(F, axis=1)
-    iters = np.zeros(len(pts), dtype=int)
+    rnorm[:] = np.linalg.norm(F, axis=1)
     active = rnorm > tol * scale
 
     for _ in range(max_iter):
@@ -361,32 +408,24 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
         alpha = np.ones(n_a)
         best = rnorm[ia]
         target = pts[ia]
-        improved = np.zeros(n_a, dtype=bool)
         for _ in range(40):
             y_try = ya + alpha[:, None] * delta[:, :3]
             l_try = la + alpha * delta[:, 3]
-            r_try = np.linalg.norm(resid_vec(y_try, l_try, target), axis=1)
+            F_try = resid_vec(y_try, l_try, target)
+            r_try = np.linalg.norm(F_try, axis=1)
             improved = r_try < best
             if np.all(improved):
                 break
             alpha = np.where(improved, alpha, alpha * 0.5)
-        alpha = np.where(improved, alpha, 0.0)
-        y[ia] = ya + alpha[:, None] * delta[:, :3]
-        lam[ia] = la + alpha * delta[:, 3]
-
-        F[ia] = resid_vec(y[ia], lam[ia], target)
-        rnorm[ia] = np.linalg.norm(F[ia], axis=1)
+        # the last trial holds every improved point's accepted step
+        accepted = ia[improved]
+        y[accepted] = y_try[improved]
+        lam[accepted] = l_try[improved]
+        F[accepted] = F_try[improved]
+        rnorm[accepted] = r_try[improved]
         iters[ia] += 1
         active[ia] = rnorm[ia] > tol * scale[ia]
-
-    if np.any(active):
-        bad = np.flatnonzero(active)
-        worst = int(bad[np.argmax(rnorm[bad])])
-        raise NoConvergence(int(iters[worst]), float(rnorm[worst]),
-                            indices=bad.tolist())
-
-    dist = np.sign(surface.phi(pts)) * np.linalg.norm(pts - y, axis=-1)
-    return y, dist, iters, rnorm
+    return active
 
 
 def project(surface: ImplicitSurface, x, tol: float = DEFAULT_TOL,

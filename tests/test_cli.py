@@ -99,6 +99,11 @@ class TestMeshCommand:
         assert len({row.split(",", 2)[2] for row in rows}) < len(rows)
         assert csv.read_text() == "face,node,x,y,z\n" + "\n".join(rows) + "\n"
 
+    def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch):
+        # 32 faces and 146 unique nodes, written five rows at a time
+        monkeypatch.setattr(sq.refmesh, "_WRITE_BLOCK", 5)
+        self.test_curved_nodes_bytes(tmp_path)
+
     def test_project_vertices_flag(self, tmp_path):
         out = tmp_path / "proj.off"
         code = main(f"mesh --surface sphere:R=1 --kind octa_sphere --res 1 "

@@ -309,3 +309,12 @@ class TestFailureAttribution:
             assert face == 0
             assert isinstance(sub, OutsideTube)
             assert "node 3" in str(sub)     # first edge node, edge q1-q2
+
+    @pytest.mark.parametrize("surface", [sq.sphere(1.0),
+                                         sq.ellipsoid(1.0, 1.0, 0.6)],
+                             ids=["sphere", "ellipsoid"])
+    def test_outside_tube_in_later_block(self, surface, monkeypatch):
+        # unique nodes 0-2 are the vertices and the origin is an edge node
+        # (3-5): in blocks of two it is projected in a later block than node 0
+        monkeypatch.setattr(sq.surfaces, "_BLOCK", 2)
+        self.test_outside_tube_names_face_and_node(surface)

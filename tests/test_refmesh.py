@@ -394,6 +394,18 @@ class TestOffIO:
         sq.write_off(sq.read_off(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_blocked_write_same_bytes(self, torus21, generic_triangle_mesh,
+                                      tmp_path, monkeypatch):
+        m = sq.generate_base(torus21, "struct_torus", 1)
+        whole, blocked = tmp_path / "whole.off", tmp_path / "blocked.off"
+        sq.write_off(m, whole)
+        monkeypatch.setattr(sq.refmesh, "_WRITE_BLOCK", 2)
+        sq.write_off(m, blocked)
+        assert blocked.read_bytes() == whole.read_bytes()
+        sq.write_off(generic_triangle_mesh, blocked)
+        assert blocked.read_text() == ("OFF\n3 1 0\n0.0 0.0 0.0\n2.1 0.3 0.0\n"
+                                       "0.7 1.9 0.4\n3 0 1 2\n")
+
     def test_quad_face_rejected(self, tmp_path):
         path = tmp_path / "quad.off"
         path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,12 +92,98 @@ class TestProjection:
         assert err.value.iterations <= 1
         assert err.value.residual > 0
 
+    def test_non_finite_step_stays_put(self, flat_ellipsoid):
+        # a NaN Newton step never improves the residual: the point keeps its
+        # last iterate and fails, instead of returning NaN as converged
+        def hess(p):
+            h = np.array(flat_ellipsoid.hess_phi(p))
+            h[..., 0, 0] = np.nan
+            return h
+        broken = sq.from_level_set(flat_ellipsoid.phi, flat_ellipsoid.grad_phi,
+                                   hess_phi=hess)
+        with pytest.raises(NoConvergence) as err:
+            sq.project_many(broken, [[1.2, 0.3, 0.2], [1.0, 0.0, 0.0]])
+        assert err.value.indices == [0]
+        assert math.isfinite(err.value.residual)
+
     def test_tol_validation(self, unit_sphere):
         # a NaN or infinite tolerance would accept the Newton seed as is
         for tol in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 sq.project(unit_sphere, [2.0, 0.0, 0.0], tol=tol)
 
+
+
+def shell_points(surface, n, rng, lo=0.8, hi=1.2):
+    """n points at radial scale lo..hi about the ellipsoid/sphere surface."""
+    dirs = rng.normal(size=(n, 3))
+    on = dirs / np.sqrt(surface.phi(dirs) + 1.0)[:, None]
+    return on * rng.uniform(lo, hi, size=(n, 1))
+
+
+class TestProjectionBlocks:
+    """project_many works in blocks of surfaces._BLOCK points."""
+
+    B = 5
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "torus", "sphere"])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1])
+    def test_bits_independent_of_block(self, name, n, rng, monkeypatch):
+        if name == "torus":
+            surface = sq.torus(2.0, 1.0)
+            pts = torus_points(2.0, 1.0, 7, 5)[:n] * rng.uniform(0.9, 1.1, (n, 1))
+        else:
+            surface = sq.ellipsoid(1.0, 1.0, 0.6) if name == "ellipsoid" else sq.sphere(1.0)
+            pts = shell_points(surface, n, rng)
+        whole = sq.project_many(surface, pts)
+        monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
+        blocked = sq.project_many(surface, pts)
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if name == "ellipsoid":
+            assert len(set(whole[2].tolist())) > 1    # Newton, varied iteration counts
+
+    def test_no_convergence_names_points_across_blocks(self, flat_ellipsoid, rng,
+                                                       monkeypatch):
+        # on-surface points converge without a step; far ones fail in one step.
+        # The farthest sits in the second block, so its residual is the worst.
+        pts = shell_points(flat_ellipsoid, 2 * self.B, rng, 1.0, 1.0)
+        far = [1, 3, 7, 8]
+        pts[far] *= [[1.3], [1.4], [1.5], [1.9]]
+        with pytest.raises(NoConvergence) as whole:
+            sq.project_many(flat_ellipsoid, pts, max_iter=1)
+        monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
+        with pytest.raises(NoConvergence) as blocked:
+            sq.project_many(flat_ellipsoid, pts, max_iter=1)
+        assert whole.value.indices == blocked.value.indices == far
+        assert blocked.value.residual == whole.value.residual
+        assert blocked.value.iterations == whole.value.iterations == 1
+        worst = max(far, key=lambda i: float(pts[i] @ pts[i]))
+        with pytest.raises(NoConvergence) as alone:
+            sq.project_many(flat_ellipsoid, pts[worst], max_iter=1)
+        assert blocked.value.residual == alone.value.residual
+
+    @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6)],
+                             ids=["sphere", "ellipsoid"])
+    def test_outside_tube_names_points_across_blocks(self, surface, rng, monkeypatch):
+        # the center: closed form and Newton seed are both undefined there
+        pts = shell_points(surface, 3 * self.B, rng)
+        pts[[2, 11]] = 0.0
+        monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
+        with pytest.raises(OutsideTube) as err:
+            sq.project_many(surface, pts)
+        assert err.value.indices == [2, 11]
+
+    def test_peak_memory_bounded_by_outputs(self, flat_ellipsoid, rng):
+        # temporaries are sized by a block, not by the batch (~700 B a point)
+        pts = shell_points(flat_ellipsoid, 100_000, rng, 1.01, 1.01)
+        tracemalloc.start()
+        try:
+            out = sq.project_many(flat_ellipsoid, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sum(a.nbytes for a in out)
 
 class TestCurvature:
     def test_sphere(self):
