@@ -322,9 +322,8 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
                 proj[block] = surface.analytic_project(pts[block])
                 resid[block] = np.abs(surface.phi(proj[block]))
             else:
-                unconverged[block] = _newton_block(
-                    surface, pts[block], proj[block], iters[block], resid[block],
-                    tol, max_iter)
+                (proj[block], iters[block], resid[block],
+                 unconverged[block]) = _newton_block(surface, pts[block], tol, max_iter)
         except OutsideTube as exc:
             if outside is None:
                 outside = exc
@@ -343,20 +342,15 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     return proj, dist, iters, resid
 
 
-def _newton_block(surface: ImplicitSurface, pts: np.ndarray, y: np.ndarray,
-                  iters: np.ndarray, rnorm: np.ndarray, tol: float,
-                  max_iter: int) -> np.ndarray:
+def _newton_block(surface: ImplicitSurface, pts: np.ndarray, tol: float,
+                  max_iter: int):
     """Gradient flow, then damped Newton on the stationarity system, for one
-    block of points.
-
-    Writes the projections, iteration counts and residual norms into ``y``,
-    ``iters`` and ``rnorm`` (views of ``project_many``'s outputs) and returns
-    the mask of points still above tolerance.
-    """
+    block of points: (projections, iterations, residual norms, mask of the
+    points still above tolerance)."""
     scale = np.maximum(1.0, np.linalg.norm(pts, axis=-1))
 
     # gradient-flow pre-steps: basin-safe seed on (near) the zero set
-    y[:] = pts
+    y = pts.copy()
     for _ in range(_FLOW_STEPS):
         g = surface.grad_phi(y)
         g2 = np.einsum("ij,ij->i", g, g)
@@ -379,7 +373,8 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray, y: np.ndarray,
         return np.concatenate([stat, surface.phi(yv)[:, None]], axis=1)
 
     F = resid_vec(y, lam, pts)
-    rnorm[:] = np.linalg.norm(F, axis=1)
+    rnorm = np.linalg.norm(F, axis=1)
+    iters = np.zeros(len(pts), dtype=int)
     active = rnorm > tol * scale
 
     for _ in range(max_iter):
@@ -425,7 +420,7 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray, y: np.ndarray,
         rnorm[accepted] = r_try[improved]
         iters[ia] += 1
         active[ia] = rnorm[ia] > tol * scale[ia]
-    return active
+    return y, iters, rnorm, active
 
 
 def project(surface: ImplicitSurface, x, tol: float = DEFAULT_TOL,

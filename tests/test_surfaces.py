@@ -113,7 +113,6 @@ class TestProjection:
                 sq.project(unit_sphere, [2.0, 0.0, 0.0], tol=tol)
 
 
-
 def shell_points(surface, n, rng, lo=0.8, hi=1.2):
     """n points at radial scale lo..hi about the ellipsoid/sphere surface."""
     dirs = rng.normal(size=(n, 3))
@@ -133,7 +132,8 @@ class TestProjectionBlocks:
             surface = sq.torus(2.0, 1.0)
             pts = torus_points(2.0, 1.0, 7, 5)[:n] * rng.uniform(0.9, 1.1, (n, 1))
         else:
-            surface = sq.ellipsoid(1.0, 1.0, 0.6) if name == "ellipsoid" else sq.sphere(1.0)
+            surface = (sq.ellipsoid(1.0, 1.0, 0.6) if name == "ellipsoid"
+                       else sq.sphere(1.0))
             pts = shell_points(surface, n, rng)
         whole = sq.project_many(surface, pts)
         monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
@@ -145,8 +145,8 @@ class TestProjectionBlocks:
 
     def test_no_convergence_names_points_across_blocks(self, flat_ellipsoid, rng,
                                                        monkeypatch):
-        # on-surface points converge without a step; far ones fail in one step.
-        # The farthest sits in the second block, so its residual is the worst.
+        # on-surface points converge without a step; far ones fail in one step,
+        # the worst of them in the second block
         pts = shell_points(flat_ellipsoid, 2 * self.B, rng, 1.0, 1.0)
         far = [1, 3, 7, 8]
         pts[far] *= [[1.3], [1.4], [1.5], [1.9]]
@@ -158,10 +158,13 @@ class TestProjectionBlocks:
         assert whole.value.indices == blocked.value.indices == far
         assert blocked.value.residual == whole.value.residual
         assert blocked.value.iterations == whole.value.iterations == 1
-        worst = max(far, key=lambda i: float(pts[i] @ pts[i]))
-        with pytest.raises(NoConvergence) as alone:
-            sq.project_many(flat_ellipsoid, pts[worst], max_iter=1)
-        assert blocked.value.residual == alone.value.residual
+        alone = []
+        for i in far:
+            with pytest.raises(NoConvergence) as err:
+                sq.project_many(flat_ellipsoid, pts[i], max_iter=1)
+            alone.append(err.value.residual)
+        assert far[int(np.argmax(alone))] >= self.B
+        assert blocked.value.residual == max(alone)
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6)],
                              ids=["sphere", "ellipsoid"])
@@ -184,6 +187,7 @@ class TestProjectionBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 3 * sum(a.nbytes for a in out)
+
 
 class TestCurvature:
     def test_sphere(self):
