@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import study
 from .curved import build_surface_elements
 from .errors import IntegrationError, NoConvergence, SurfquadError
@@ -142,14 +144,17 @@ def run(args, parser) -> int:
         write_off(mesh, args.out)
         if args.curved_nodes:
             batch = build_surface_elements(mesh, surface, args.k)
-            # Format each unique node once; shared nodes repeat per slot.
-            rows = [f"{x!r},{y!r},{z!r}" for _, block in row_blocks(batch.unique_nodes)
-                    for x, y, z in block]
             with open(args.curved_nodes, "w", encoding="ascii") as fh:
                 fh.write("face,node,x,y,z\n")
                 for lo, block in row_blocks(batch.node_index):
-                    fh.write("".join([f"{fi},{ni},{rows[u]}\n"
-                                      for fi, slots in enumerate(block, lo)
+                    # Format each node a face block uses once; shared nodes
+                    # repeat per slot, and once per block that uses them.
+                    used, local = np.unique(block, return_inverse=True)
+                    coords = [f"{x!r},{y!r},{z!r}"
+                              for x, y, z in batch.unique_nodes[used].tolist()]
+                    fh.write("".join([f"{fi},{ni},{coords[u]}\n"
+                                      for fi, slots in enumerate(
+                                          local.reshape(block.shape).tolist(), lo)
                                       for ni, u in enumerate(slots)]))
         return 0
 

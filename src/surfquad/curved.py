@@ -48,6 +48,9 @@ def affine_chart_points(flat_tri: np.ndarray, ref_pts: np.ndarray) -> np.ndarray
     return q1 + (q3 - q1) * s + (q2 - q1) * t
 
 
+# nodes per block when the flat nodes and node table of a mesh are filled
+_FILL_BLOCK = 8192
+
 _CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
 
 
@@ -179,6 +182,7 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     verts = mesh.vertices
     edges, side_edge = edge_table(faces)
     used, vertex_id = np.unique(faces, return_inverse=True)
+    vertex_id = vertex_id.reshape(faces.shape)
     edge_base = len(used)
     face_base = edge_base + len(edges) * (k - 1)
 
@@ -190,30 +194,48 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     step = np.choose(side, [j, i, k - i])
     corner = ~inner & (step == 0)
     along = ~inner & (step > 0)
-
-    node_index = np.empty((len(faces), basis.count), dtype=np.int64)
-    node_index[:, corner] = vertex_id.reshape(faces.shape)[:, side[corner]]
     s, t = side[along], step[along]
-    forward = faces[:, s] < faces[:, (s + 1) % 3]
-    node_index[:, along] = (edge_base + side_edge[:, s] * (k - 1)
-                            + np.where(forward, t, k - t) - 1)
     n_inner = int(inner.sum())
-    node_index[:, inner] = (face_base + np.arange(len(faces))[:, None] * n_inner
-                            + np.arange(n_inner))
+    inner_s = (i[inner] / k)[:, None]
+    inner_t = (j[inner] / k)[:, None]
 
-    va, vb = verts[edges[:, 0]][:, None], verts[edges[:, 1]][:, None]
-    edge_flat = va + (vb - va) * (np.arange(1, k) / k)[:, None]
-    q1, q2, q3 = (verts[faces[:, c]][:, None] for c in range(3))
-    inner_flat = (q1 + (q3 - q1) * (i[inner] / k)[:, None]
-                  + (q2 - q1) * (j[inner] / k)[:, None])
-    flat_nodes = np.concatenate([verts[used], edge_flat.reshape(-1, 3),
-                                 inner_flat.reshape(-1, 3)])
+    # The node table and the flat nodes are filled a bounded block of edges
+    # or faces at a time, so no temporary grows with the mesh; every node is
+    # computed elementwise, so its bits do not depend on its block.
+    node_index = np.empty((len(faces), basis.count), dtype=np.int64)
+    flat_nodes = np.empty((face_base + len(faces) * n_inner, 3))
+    flat_nodes[:edge_base] = verts[used]
+    steps = np.arange(1, k) / k
+    for lo, hi in _blocks(len(edges), k - 1):
+        va, vb = verts[edges[lo:hi, 0]][:, None], verts[edges[lo:hi, 1]][:, None]
+        flat_nodes[edge_base + lo * (k - 1):edge_base + hi * (k - 1)] = (
+            va + (vb - va) * steps[:, None]).reshape(-1, 3)
+    for lo, hi in _blocks(len(faces), basis.count):
+        f = faces[lo:hi]
+        forward = f[:, s] < f[:, (s + 1) % 3]
+        node_index[lo:hi, corner] = vertex_id[lo:hi][:, side[corner]]
+        node_index[lo:hi, along] = (edge_base + side_edge[lo:hi, s] * (k - 1)
+                                    + np.where(forward, t, k - t) - 1)
+        node_index[lo:hi, inner] = (face_base + np.arange(lo, hi)[:, None] * n_inner
+                                    + np.arange(n_inner))
+        q1, q2, q3 = (verts[f[:, c]][:, None] for c in range(3))
+        flat_nodes[face_base + lo * n_inner:face_base + hi * n_inner] = (
+            q1 + (q3 - q1) * inner_s + (q2 - q1) * inner_t).reshape(-1, 3)
+    del edges, side_edge, used, vertex_id
     try:
         projected, _, _, _ = project_many(surface, flat_nodes)
     except (NoConvergence, OutsideTube) as exc:
         raise IntegrationError(_locate_failures(node_index, exc)) from exc
     return ElementBatch(degree=degree, basis=basis, mesh=mesh,
                         node_index=node_index, unique_nodes=projected)
+
+
+def _blocks(n_rows: int, nodes_per_row: int):
+    """(lo, hi) bounds of successive row blocks of about ``_FILL_BLOCK``
+    nodes, for ``n_rows`` rows of ``nodes_per_row`` nodes each."""
+    size = max(1, _FILL_BLOCK // max(1, nodes_per_row))
+    for lo in range(0, n_rows, size):
+        yield lo, min(lo + size, n_rows)
 
 
 def _locate_failures(node_index: np.ndarray, exc):

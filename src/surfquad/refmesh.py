@@ -323,20 +323,20 @@ _WRITE_BLOCK = 4096
 
 
 def row_blocks(table: np.ndarray):
-    """Yield (first row, rows as nested lists) for successive row blocks of
-    ``table``, ``_WRITE_BLOCK`` rows at a time."""
+    """Yield (first row, block) for successive row blocks of ``table``,
+    ``_WRITE_BLOCK`` rows at a time."""
     for lo in range(0, len(table), _WRITE_BLOCK):
-        yield lo, table[lo:lo + _WRITE_BLOCK].tolist()
+        yield lo, table[lo:lo + _WRITE_BLOCK]
 
 
 def write_off(mesh: FlatMesh, path) -> None:
     """ASCII OFF with shortest round-trip float formatting."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for _, rows in row_blocks(mesh.vertices):
-            fh.write("".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in rows]))
-        for _, rows in row_blocks(mesh.faces):
-            fh.write("".join([f"3 {a} {b} {c}\n" for a, b, c in rows]))
+        for _, block in row_blocks(mesh.vertices):
+            fh.write("".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in block.tolist()]))
+        for _, block in row_blocks(mesh.faces):
+            fh.write("".join([f"3 {a} {b} {c}\n" for a, b, c in block.tolist()]))
 
 
 def read_off(path) -> FlatMesh:

@@ -112,8 +112,8 @@ def run_convergence(surface: ImplicitSurface, kind: str, resolution: int, k: int
             warnings.warn(
                 f"error {err:.3e} at level {level} hit the {ERROR_FLOOR} floor",
                 StagnationWarning, stacklevel=2)
-        eoc = None
-        if prev_error is not None and err > 0:
+        eoc = None     # also when either error is exactly zero
+        if prev_error is not None and min(prev_error, err) > 0:
             eoc = math.log(prev_error / err) / math.log(2.0)
         rows.append(ConvergenceRow(level=level, h=mesh_size(study_mesh),
                                    n_faces=study_mesh.n_faces,

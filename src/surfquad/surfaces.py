@@ -154,6 +154,13 @@ def torus(major_radius: float = 2.0, minor_radius: float = 1.0) -> ImplicitSurfa
                               indices=np.flatnonzero(vnorm == 0.0))
         return center + v * (r / vnorm)[..., None]
 
+    def hess(p):
+        p = np.asarray(p, dtype=float)
+        u = np.einsum("...i,...i->...", p, p) + R * R - r * r
+        return ((4.0 * u)[..., None, None] * np.eye(3)
+                + 8.0 * p[..., :, None] * p[..., None, :]
+                - 8.0 * R * R * np.diag([1.0, 1.0, 0.0]))
+
     return ImplicitSurface(
         name="torus",
         phi=phi,
@@ -162,6 +169,7 @@ def torus(major_radius: float = 2.0, minor_radius: float = 1.0) -> ImplicitSurfa
         params={"R": R, "r": r},
         euler_characteristic=0,
         analytic_project=proj,
+        hess_phi=hess,
     )
 
 
@@ -208,17 +216,32 @@ def from_level_set(phi, grad_phi, gauss_curvature=None, analytic_project=None,
                    params=None) -> ImplicitSurface:
     """Wrap user callables into a surface descriptor.
 
-    ``gauss_curvature`` may be omitted when only area integrals are needed.
+    When ``gauss_curvature`` is omitted and ``hess_phi`` is given, the
+    curvature is Goldman's ``K = grad^T adj(H) grad / |grad|^4`` (CAGD 22,
+    2005) at points on the surface.  Without either it may be omitted only
+    when area integrals are all that is needed.
     """
 
     def no_curvature(p):
         raise NotImplementedError("no Gaussian curvature defined for this surface")
 
+    def goldman_curvature(p):
+        g = np.asarray(grad_phi(p), dtype=float)
+        h = np.asarray(hess_phi(p), dtype=float)
+        c0, c1, c2 = h[..., :, 0], h[..., :, 1], h[..., :, 2]
+        # the rows of adj(H) are the cross products of H's columns
+        g_adj = (np.cross(c1, c2) * g[..., 0, None] + np.cross(c2, c0) * g[..., 1, None]
+                 + np.cross(c0, c1) * g[..., 2, None])
+        g2 = np.einsum("...i,...i->...", g, g)
+        return np.einsum("...i,...i->...", g_adj, g) / (g2 * g2)
+
+    if gauss_curvature is None:
+        gauss_curvature = no_curvature if hess_phi is None else goldman_curvature
     return ImplicitSurface(
         name=name,
         phi=phi,
         grad_phi=grad_phi,
-        gauss_curvature=gauss_curvature or no_curvature,
+        gauss_curvature=gauss_curvature,
         params=dict(params or {}),
         euler_characteristic=euler_characteristic,
         analytic_project=analytic_project,
