@@ -147,8 +147,8 @@ def run(args, parser) -> int:
             with open(args.curved_nodes, "w", encoding="ascii") as fh:
                 fh.write("face,node,x,y,z\n")
                 for lo, block in row_blocks(batch.node_index):
-                    # Format each node a face block uses once; shared nodes
-                    # repeat per slot, and once per block that uses them.
+                    # Each face block formats the nodes it uses once; a node
+                    # shared by several blocks is formatted in each of them.
                     used, local = np.unique(block, return_inverse=True)
                     coords = [f"{x!r},{y!r},{z!r}"
                               for x, y, z in batch.unique_nodes[used].tolist()]

@@ -221,7 +221,7 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
         q1, q2, q3 = (verts[f[:, c]][:, None] for c in range(3))
         flat_nodes[face_base + lo * n_inner:face_base + hi * n_inner] = (
             q1 + (q3 - q1) * inner_s + (q2 - q1) * inner_t).reshape(-1, 3)
-    del edges, side_edge, used, vertex_id
+    del edges, side_edge, used, vertex_id     # not needed while projecting
     try:
         projected, _, _, _ = project_many(surface, flat_nodes)
     except (NoConvergence, OutsideTube) as exc:

@@ -1,10 +1,10 @@
 """Implicit surface descriptors and the closest-point projection.
 
 A surface is the zero set of a level function phi: R^3 -> R.  The built-in
-sphere, torus and ellipsoid carry analytic gradients, Gaussian curvature and
-(where a closed form exists) an analytic closest-point projection.  Generic
-level sets fall back to a damped Newton iteration on the stationarity system
-of the distance minimization.
+sphere, torus and ellipsoid carry analytic gradients, Hessians, Gaussian
+curvature and (where a closed form exists) an analytic closest-point
+projection.  Generic level sets fall back to a damped Newton iteration on the
+stationarity system of the distance minimization.
 
 All field callables are vectorized: they accept arrays of shape (..., 3) and
 return values of shape (...) or (..., 3).

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +101,43 @@ class TestMeshCommand:
         assert csv.read_text() == "face,node,x,y,z\n" + "\n".join(rows) + "\n"
 
     def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch):
-        # 32 faces and 146 unique nodes, written five rows at a time
+        # 32 faces and 146 unique nodes, written five faces at a time; each
+        # block formats the nodes it uses, so a node shared with an earlier
+        # block is formatted again, and one first used in a later block sorts
+        # before nodes of block 0
         monkeypatch.setattr(sq.refmesh, "_WRITE_BLOCK", 5)
+        surface = sq.ellipsoid(1.0, 1.0, 0.6)
+        mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
+        index = sq.build_surface_elements(mesh, surface, 3).node_index
+        assert np.intersect1d(index[:5], index[5:10]).size > 0
+        assert np.setdiff1d(index[5:], index[:5]).min() < index[:5].max()
         self.test_curved_nodes_bytes(tmp_path)
+
+    def test_curved_nodes_write_memory_flat(self, tmp_path, monkeypatch):
+        # the export's memory above the built batch is one write block's,
+        # whatever the number of unique nodes (130 and 4,098 here)
+        monkeypatch.setattr(sq.refmesh, "_WRITE_BLOCK", 16)
+        at_build = []
+
+        def build_then_reset_peak(*args):
+            batch = sq.build_surface_elements(*args)
+            tracemalloc.reset_peak()
+            at_build.append(tracemalloc.get_traced_memory()[0])
+            return batch
+
+        monkeypatch.setattr(sq.cli, "build_surface_elements", build_then_reset_peak)
+        peaks = []
+        for levels in (1, 3):
+            tracemalloc.start()
+            try:
+                code = main(f"mesh --surface sphere:R=1 --kind octa_sphere --res 1 "
+                            f"--levels {levels} --k 4 --out {tmp_path / 'm.off'} "
+                            f"--curved-nodes {tmp_path / 'n.csv'}".split())
+                peaks.append(tracemalloc.get_traced_memory()[1] - at_build[-1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_project_vertices_flag(self, tmp_path):
         out = tmp_path / "proj.off"

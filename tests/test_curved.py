@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,40 @@ class TestWatertight:
         shuffled = FlatMesh(mesh.vertices, mesh.faces[perm])
         got = sq.integrate_surface(shuffled, unit_sphere, f, 3, rule).value
         assert got == base   # correctly rounded total, bitwise equal
+
+
+class TestBuildBlocks:
+    """build_surface_elements fills its flat nodes and node table a block of
+    edges or faces at a time."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bits_independent_of_fill_block(self, torus21, flat_ellipsoid, k,
+                                            monkeypatch):
+        cases = [(torus21, sq.generate_base(torus21, "struct_torus", 1)),
+                 (flat_ellipsoid, sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))]
+        whole = [build_surface_elements(mesh, surface, k) for surface, mesh in cases]
+        # 32 faces each: one block by default, one face or two edges per block here
+        monkeypatch.setattr(sq.curved, "_FILL_BLOCK", 7)
+        for (surface, mesh), a in zip(cases, whole):
+            b = build_surface_elements(mesh, surface, k)
+            for x, y in ((a.node_index, b.node_index), (a.unique_nodes, b.unique_nodes)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_peak_memory_bounded_by_kept_arrays(self, torus21):
+        # the flat nodes and project_many's four outputs are the only
+        # full-size temporaries: 2.6x the kept arrays here, 3.9x before the
+        # fill was blocked
+        mesh = sq.generate_base(torus21, "struct_torus", 2)
+        for _ in range(3):
+            mesh = sq.bisect(mesh)
+        sq.lagrange_basis(4)
+        tracemalloc.start()
+        try:
+            batch = build_surface_elements(mesh, torus21, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * (batch.unique_nodes.nbytes + batch.node_index.nbytes)
 
 
 @pytest.fixture(scope="module", params=[1, 4, 10])

@@ -124,6 +124,21 @@ class TestRunConvergence:
                                         "gauss_curvature", 2)
         assert any(r.floored for r in rep.rows)
 
+    def test_zero_error_level_has_no_eoc(self, monkeypatch):
+        # the order next to an error of exactly 0.0 is undefined (log of 0)
+        exact = 4 * math.pi
+        values = iter([exact, 1.001 * exact, 1.0001 * exact, exact])
+        monkeypatch.setattr(study, "integrate_surface",
+                            lambda mesh, surface, f, k, rule, **kw: sq.IntegralResult(
+                                next(values), mesh.n_faces, kw["mode"], k))
+        with pytest.warns(sq.StagnationWarning):
+            rep = study.run_convergence(sq.sphere(1.0), "octa_sphere", 1, 2, "one", 3)
+        assert [r.error == 0.0 for r in rep.rows] == [True, False, False, True]
+        assert rep.rows[1].eoc is None and rep.rows[3].eoc is None
+        assert rep.rows[2].eoc == pytest.approx(math.log2(10.0), rel=1e-9)
+        eocs = [line.rsplit(",", 1)[1] for line in convergence_csv(rep).splitlines()]
+        assert eocs[1:3] == ["", ""] and eocs[4] == ""
+
 
 class TestRunRunge:
     def test_k1_matches_convergence_level0(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import surfquad as sq
+from surfquad import study
 from surfquad.errors import DegeneratePoint, NoConvergence, OutsideTube
 
 from conftest import torus_points
@@ -250,6 +252,71 @@ class TestCurvature:
                     step[j] = h
                     fd[j] = (surf.phi(x + step) - surf.phi(x - step)) / (2 * h)
                 assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-6
+
+    def test_hess_phi_matches_finite_differences(self, rng):
+        surfaces = [sq.sphere(1.0), sq.torus(2.0, 1.0), sq.ellipsoid(1.0, 1.0, 0.6)]
+        anchors = [[1, 0, 0], [3, 0, 0], [1, 0, 0]]
+        h = 1e-6
+        for surf, anchor in zip(surfaces, anchors):
+            x = np.asarray(anchor, dtype=float) + rng.normal(size=(10, 3)) * 0.05
+            hess = surf.hess_phi(x)
+            assert hess.shape == (10, 3, 3)
+            assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+            fd = np.stack([(surf.grad_phi(x + h * e) - surf.grad_phi(x - h * e)) / (2 * h)
+                           for e in np.eye(3)], axis=-1)
+            assert np.max(np.abs(fd - hess)) / np.max(np.abs(hess)) < 1e-6
+
+    def test_torus_hessian_leaves_converge_bytes(self, torus21):
+        # the torus projects in closed form: its Hessian is never evaluated
+        without = dataclasses.replace(torus21, hess_phi=None)
+        reports = [study.convergence_csv(study.run_convergence(
+            surf, "struct_torus", 1, 4, "gauss_curvature", 2))
+            for surf in (torus21, without)]
+        assert reports[0] == reports[1]
+
+
+class TestGoldmanCurvature:
+    """from_level_set without gauss_curvature but with hess_phi computes
+    K = grad^T adj(H) grad / |grad|^4."""
+
+    @staticmethod
+    def goldman(surface):
+        return sq.from_level_set(surface.phi, surface.grad_phi,
+                                 hess_phi=surface.hess_phi).gauss_curvature
+
+    @pytest.mark.parametrize("axes", [(1.0, 1.0, 0.6), (1.3, 0.9, 0.6)])
+    def test_ellipsoid_closed_form(self, axes, rng):
+        surface = sq.ellipsoid(*axes)
+        on = shell_points(surface, 2000, rng, 1.0, 1.0)
+        rel = self.goldman(surface)(on) / surface.gauss_curvature(on) - 1.0
+        assert np.max(np.abs(rel)) <= 1e-14
+        # Goldman's numerator carries the factor 1 + phi that the closed form
+        # drops, so at Newton projections the two differ by the residual
+        proj = sq.project_many(surface, shell_points(surface, 2000, rng, 0.9, 1.1))[0]
+        rel = self.goldman(surface)(proj) / surface.gauss_curvature(proj) - 1.0
+        assert np.all(np.abs(rel) <= np.abs(surface.phi(proj)) + 1e-14)
+
+    def test_sphere_inverse_square_radius(self, rng):
+        sphere = sq.sphere(1.7)
+        proj = sq.project_many(sphere, rng.normal(size=(2000, 3)))[0]
+        assert np.max(np.abs(self.goldman(sphere)(proj) * 1.7**2 - 1.0)) <= 1e-14
+
+    def test_torus_closed_form(self, torus21, rng):
+        proj = sq.project_many(torus21, torus_points(2.0, 1.0, 40, 50)
+                               * rng.uniform(0.9, 1.1, (2000, 1)))[0]
+        assert np.max(np.abs(self.goldman(torus21)(proj)
+                             - torus21.gauss_curvature(proj))) <= 1e-14
+
+    def test_given_curvature_wins(self, flat_ellipsoid):
+        surface = sq.from_level_set(flat_ellipsoid.phi, flat_ellipsoid.grad_phi,
+                                    gauss_curvature=flat_ellipsoid.gauss_curvature,
+                                    hess_phi=flat_ellipsoid.hess_phi)
+        assert surface.gauss_curvature is flat_ellipsoid.gauss_curvature
+
+    def test_no_hessian_no_curvature(self, flat_ellipsoid):
+        surface = sq.from_level_set(flat_ellipsoid.phi, flat_ellipsoid.grad_phi)
+        with pytest.raises(NotImplementedError):
+            surface.gauss_curvature(np.array([1.0, 0.0, 0.0]))
 
 
 class TestDescriptors:
