@@ -16,7 +16,7 @@ import numpy as np
 
 from . import study
 from .curved import build_surface_elements
-from .errors import IntegrationError, NoConvergence, SurfquadError
+from .errors import IntegrationError, SurfquadError
 from .interp import cheb_lebesgue, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
 from .refmesh import bisect, generate_base, mesh_size, row_blocks, write_off
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         print(f"surfquad: integration failed ({len(exc.failures)} face/node "
               "failure(s))", file=sys.stderr)
         return 1
-    except (NoConvergence, SurfquadError) as exc:
+    except SurfquadError as exc:
         print(f"surfquad: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,8 @@
 
 Every reference node of a flat triangle (vertices included) is pushed through
 the affine chart and projected onto the surface; interpolating the projected
-nodes gives the element's polynomial chart.  For whole meshes the nodes are
+nodes gives the element's polynomial chart.  Elements are built a mesh at a
+time, a single element as the face of a one-face mesh: the nodes are
 deduplicated through the vertex ids and ``refmesh.edge_table`` before
 projection, so shared edge nodes of neighboring elements are bitwise identical
 (watertight).
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateJacobian, IntegrationError, NoConvergence, OutsideTube
 from .interp import LagrangeBasis, lagrange_basis
-from .refmesh import FlatMesh, edge_table
+from .refmesh import FlatMesh, edge_table, mesh_size
 from .surfaces import ImplicitSurface, project_many
 
 
@@ -41,8 +42,9 @@ class MetricSample:
 
 
 def affine_chart_points(flat_tri: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-    """Map reference (s, t) points onto the flat triangle q1,q2,q3."""
-    q1, q2, q3 = flat_tri
+    """Map (n, 2) reference (s, t) points onto the flat triangle q1,q2,q3:
+    (n, 3) points for one (3, 3) triangle, (C, n, 3) for (C, 3, 3)."""
+    q1, q2, q3 = (flat_tri[..., c, None, :] for c in range(3))
     s = ref_pts[:, 0][:, None]
     t = ref_pts[:, 1][:, None]
     return q1 + (q3 - q1) * s + (q2 - q1) * t
@@ -94,23 +96,19 @@ def _folded_charts(surface: ImplicitSurface, centroid_tables: tuple,
 
 def build_element(surface: ImplicitSurface, flat_tri, degree: int,
                   basis: Optional[LagrangeBasis] = None) -> CurvedElement:
-    """Project every reference node of one flat triangle onto the surface."""
+    """The curved element of one (3, 3) flat triangle: the only face of a
+    one-face mesh.  ``basis``, if given, must be ``lagrange_basis(degree)``."""
     flat_tri = np.asarray(flat_tri, dtype=float)
-    if basis is None:
-        basis = lagrange_basis(degree)
-    flat_nodes = affine_chart_points(flat_tri, basis.nodes)
-    try:
-        projected, _, _, _ = project_many(surface, flat_nodes)
-    except NoConvergence as exc:
-        raise NoConvergence(exc.iterations, exc.residual,
-                            f"projection failed for element node(s) {exc.indices}: "
-                            f"{exc}", indices=exc.indices) from exc
-    if _folded_charts(surface, _basis_tables(basis, _CENTROID), projected[None],
-                     flat_tri[None])[0]:
+    if flat_tri.shape != (3, 3):
+        raise ValueError(f"expected one (3, 3) flat triangle, got {flat_tri.shape}")
+    if basis is not None and basis is not lagrange_basis(degree):
+        raise ValueError(f"basis must be lagrange_basis({degree})")
+    batch = build_surface_elements(FlatMesh(flat_tri, [[0, 1, 2]]), surface, degree)
+    if _folded_charts(surface, _basis_tables(batch.basis, _CENTROID),
+                      batch.element_nodes(), flat_tri[None])[0]:
         raise DegenerateJacobian(
             "curved chart is not orientation-preserving; mesh too coarse")
-    return CurvedElement(degree=degree, flat_vertices=flat_tri,
-                         projected_nodes=projected, basis=basis)
+    return batch.element(0)
 
 
 def chart_eval(elem: CurvedElement, ref_pt) -> MetricSample:
@@ -131,9 +129,7 @@ def chart_eval(elem: CurvedElement, ref_pt) -> MetricSample:
 
 def element_diameter(elem: CurvedElement) -> float:
     """Longest side of the parametrizing flat triangle."""
-    q = elem.flat_vertices
-    return float(max(np.linalg.norm(q[0] - q[1]), np.linalg.norm(q[1] - q[2]),
-                     np.linalg.norm(q[2] - q[0])))
+    return mesh_size(FlatMesh(elem.flat_vertices, [[0, 1, 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +192,6 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     along = ~inner & (step > 0)
     s, t = side[along], step[along]
     n_inner = int(inner.sum())
-    inner_s = (i[inner] / k)[:, None]
-    inner_t = (j[inner] / k)[:, None]
 
     # The node table and the flat nodes are filled a bounded block of edges
     # or faces at a time, so no temporary grows with the mesh; every node is
@@ -218,9 +212,8 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
                                     + np.where(forward, t, k - t) - 1)
         node_index[lo:hi, inner] = (face_base + np.arange(lo, hi)[:, None] * n_inner
                                     + np.arange(n_inner))
-        q1, q2, q3 = (verts[f[:, c]][:, None] for c in range(3))
         flat_nodes[face_base + lo * n_inner:face_base + hi * n_inner] = (
-            q1 + (q3 - q1) * inner_s + (q2 - q1) * inner_t).reshape(-1, 3)
+            affine_chart_points(verts[f], basis.nodes[inner]).reshape(-1, 3))
     del edges, side_edge, used, vertex_id     # not needed while projecting
     try:
         projected, _, _, _ = project_many(surface, flat_nodes)
@@ -241,14 +234,14 @@ def _blocks(n_rows: int, nodes_per_row: int):
 def _locate_failures(node_index: np.ndarray, exc):
     """Attribute failing unique-node indices to (face, local node) pairs."""
     failures = []
-    for uid in exc.indices[:50]:
+    for n, uid in enumerate(exc.indices[:50]):
         faces, locals_ = np.nonzero(node_index == uid)
         if len(faces):
             node = int(locals_[0])
             if isinstance(exc, NoConvergence):
-                sub = NoConvergence(exc.iterations, exc.residual,
+                sub = NoConvergence(exc.iterations, exc.residuals[n],
                                     f"node {node} did not converge "
-                                    f"(residual {exc.residual:.3e})")
+                                    f"(residual {exc.residuals[n]:.3e})")
             else:
                 sub = OutsideTube(f"node {node}: {exc}")
             failures.append((int(faces[0]), sub))

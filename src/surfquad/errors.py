@@ -6,12 +6,15 @@ class SurfquadError(Exception):
 
 
 class NoConvergence(SurfquadError):
-    """Closest-point iteration exhausted its iteration budget."""
+    """Closest-point iteration exhausted its iteration budget; ``residual`` is
+    the worst failing point's, ``residuals`` each one's, as in ``indices``."""
 
-    def __init__(self, iterations, residual, message=None, indices=None):
+    def __init__(self, iterations, residual, message=None, indices=None,
+                 residuals=None):
         self.iterations = iterations
         self.residual = residual
         self.indices = list(indices) if indices is not None else []
+        self.residuals = list(residuals) if residuals is not None else []
         super().__init__(
             message or f"projection did not converge after {iterations} "
             f"iterations (residual {residual:.3e})"
@@ -67,11 +70,12 @@ class IntegrationError(SurfquadError):
     """One or more elements failed during surface integration."""
 
     def __init__(self, failures):
-        # failures: list of (face index, exception)
+        # failures: list of (face index, exception), possibly several per face
         self.failures = failures
-        faces = ", ".join(str(f) for f, _ in failures[:10])
-        more = "" if len(failures) <= 10 else f" (+{len(failures) - 10} more)"
-        super().__init__(f"integration failed on faces [{faces}]{more}: {failures[0][1]}")
+        faces = list(dict.fromkeys(f for f, _ in failures))
+        shown = ", ".join(str(f) for f in faces[:10])
+        more = "" if len(faces) <= 10 else f" (+{len(faces) - 10} more)"
+        super().__init__(f"integration failed on faces [{shown}]{more}: {failures[0][1]}")
 
 
 class IllConditionedWarning(UserWarning):

@@ -361,7 +361,7 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
         bad = np.flatnonzero(unconverged)
         worst = int(bad[np.argmax(resid[bad])])
         raise NoConvergence(int(iters[worst]), float(resid[worst]),
-                            indices=bad.tolist())
+                            indices=bad.tolist(), residuals=resid[bad].tolist())
     return proj, dist, iters, resid
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 import surfquad as sq
 from surfquad.curved import (_basis_tables, _chart_metric, affine_chart_points,
                              build_surface_elements)
-from surfquad.errors import DegenerateJacobian, IntegrationError, OutsideTube
-from surfquad.quad import _chart_integrals
+from surfquad.errors import (DegenerateJacobian, IntegrationError, NoConvergence,
+                             OutsideTube)
+from surfquad.quad import MODE_EXACT, MODE_INTERP, _chart_integrals
 from surfquad.refmesh import FlatMesh
 
 
@@ -54,6 +57,50 @@ class TestBuildElement:
         assert np.allclose(pts[0], octant_tri[0])   # (0,0) -> q1
         assert np.allclose(pts[1], octant_tri[2])   # (1,0) -> q3
         assert np.allclose(pts[2], octant_tri[1])   # (0,1) -> q2
+
+
+class TestOneElementPipeline:
+    """A single element is the face of a one-face mesh, bit for bit."""
+
+    @pytest.mark.parametrize("surface, kind, res", [
+        (sq.torus(2.0, 1.0), "struct_torus", 2),
+        (sq.ellipsoid(1.0, 1.0, 0.6), "scaled_ellipsoid", 1)],
+        ids=["torus", "ellipsoid"])
+    def test_single_element_equals_one_face_mesh(self, surface, kind, res):
+        base = sq.generate_base(surface, kind, res)
+        tri = base.vertices[base.faces[3]]
+        mesh = FlatMesh(tri, [[0, 1, 2]])
+        rule = sq.builtin_rule(12)
+        for k in range(1, 7):
+            el = sq.build_element(surface, tri, k)
+            batch = build_surface_elements(mesh, surface, k)
+            assert el.projected_nodes.tobytes() == batch.element_nodes()[0].tobytes()
+            for mode in (MODE_EXACT, MODE_INTERP):
+                alone = sq.integrate_element(el, surface.gauss_curvature, rule, mode)
+                whole = sq.integrate_surface(mesh, surface, surface.gauss_curvature,
+                                             k, rule, mode).value
+                assert alone == whole, (k, mode)
+
+    def test_projection_failure_names_face_0(self, flat_ellipsoid,
+                                             one_iteration_projector):
+        base = sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1)
+        with pytest.raises(IntegrationError) as err:
+            sq.build_element(flat_ellipsoid, base.vertices[base.faces[0]], 4)
+        assert {face for face, _ in err.value.failures} == {0}
+        assert all(isinstance(sub, NoConvergence) and "node" in str(sub)
+                   for _, sub in err.value.failures)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 3, 3), (9,)])
+    def test_rejects_triangle_shape(self, unit_sphere, shape):
+        with pytest.raises(ValueError, match=r"\(3, 3\)"):
+            sq.build_element(unit_sphere, np.ones(shape), 2)
+
+    def test_rejects_foreign_basis(self, unit_sphere, octant_tri):
+        for basis in (sq.lagrange_basis(3), copy.copy(sq.lagrange_basis(2))):
+            with pytest.raises(ValueError, match="lagrange_basis"):
+                sq.build_element(unit_sphere, octant_tri, 2, basis)
+        el = sq.build_element(unit_sphere, octant_tri, 2, sq.lagrange_basis(2))
+        assert el.basis is sq.lagrange_basis(2)
 
 
 class TestChartEval:
@@ -324,6 +371,40 @@ class TestFailureAttribution:
         face, sub = err.value.failures[0]
         assert face >= 0
         assert "node" in str(sub)
+
+    def test_each_node_quotes_its_own_residual(self, flat_ellipsoid,
+                                               one_iteration_projector):
+        mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
+        basis = sq.lagrange_basis(4)
+        with pytest.raises(IntegrationError) as err:
+            build_surface_elements(mesh, flat_ellipsoid, 4)
+        residuals = []
+        for face, sub in err.value.failures:
+            node = int(re.search(r"node (\d+) ", str(sub)).group(1))
+            flat = affine_chart_points(mesh.vertices[mesh.faces[face]],
+                                       basis.nodes[node:node + 1])
+            with pytest.raises(NoConvergence) as alone:
+                sq.project_many(flat_ellipsoid, flat, max_iter=1)
+            # edge nodes are placed from the edge's smaller vertex, so the
+            # flat point may differ from the face's affine chart in the last bit
+            assert sub.residual == pytest.approx(alone.value.residual, rel=1e-9)
+            assert f"residual {sub.residual:.3e}" in str(sub)
+            residuals.append(sub.residual)
+        assert len(set(residuals)) > 1
+
+    def test_message_lists_each_face_once(self, flat_ellipsoid,
+                                          one_iteration_projector):
+        mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
+        with pytest.raises(IntegrationError) as err:
+            build_surface_elements(mesh, flat_ellipsoid, 4)
+        faces = list(dict.fromkeys(face for face, _ in err.value.failures))
+        assert len(faces) < len(err.value.failures)
+        shown = ", ".join(str(f) for f in faces[:10])
+        assert f"faces [{shown}]" in str(err.value)
+        many = IntegrationError([(f % 12, ValueError("x")) for f in range(30)])
+        assert len(many.failures) == 30
+        assert str(many).startswith(
+            "integration failed on faces [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (+2 more): x")
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0),
                                          sq.ellipsoid(1.0, 1.0, 0.6)],

@@ -167,6 +167,7 @@ class TestProjectionBlocks:
             alone.append(err.value.residual)
         assert far[int(np.argmax(alone))] >= self.B
         assert blocked.value.residual == max(alone)
+        assert blocked.value.residuals == whole.value.residuals == alone
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6)],
                              ids=["sphere", "ellipsoid"])
