@@ -7,7 +7,7 @@ class SurfquadError(Exception):
 
 class NoConvergence(SurfquadError):
     """Closest-point iteration exhausted its iteration budget; ``residual`` is
-    the worst failing point's, ``residuals`` each one's, as in ``indices``."""
+    the worst failing point's, ``residuals`` each one's, aligned with ``indices``."""
 
     def __init__(self, iterations, residual, message=None, indices=None,
                  residuals=None):

@@ -1,11 +1,11 @@
 """Flat conforming triangulations: base-mesh generators, bisection, census, OFF I/O.
 
 Base meshes have every vertex on the target surface.  Bisection refines with
-exact flat edge midpoints and deliberately does NOT re-project the new
-vertices: the fine vertices parametrize the macro triangles, and keeping them
-flat preserves the point-symmetric child structure that the even-degree
-superconvergence relies on.  Use ``project_vertices`` to get the alternative
-(symmetry-breaking) variant for comparison runs.
+exact flat edge midpoints and does NOT re-project the new vertices: the fine
+vertices parametrize the macro triangles and keep the point-symmetric child
+pairs that ``symmetry_census`` counts.  ``project_vertices`` re-projects every
+vertex instead; that removes the pairs (census 0) but not the even-degree
+gain, so the gain does not rest on exact pairs.
 """
 
 from __future__ import annotations
