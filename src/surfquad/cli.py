@@ -24,6 +24,9 @@ from .surfaces import parse_surface
 
 _MODES = {"exact": MODE_EXACT, "interp": MODE_INTERP}
 
+# about this many CSV lines per `mesh --curved-nodes` write block, whatever k
+_CSV_LINES = 16384
+
 
 def _ranged_int(name, lo, hi):
     def parse(text):
@@ -144,17 +147,20 @@ def run(args, parser) -> int:
         write_off(mesh, args.out)
         if args.curved_nodes:
             batch = build_surface_elements(mesh, surface, args.k)
+            node_cols = [f",{ni}," for ni in range(batch.basis.count)]
+            faces_per_block = max(1, _CSV_LINES // batch.basis.count)
             with open(args.curved_nodes, "w", encoding="ascii") as fh:
                 fh.write("face,node,x,y,z\n")
-                for lo, block in row_blocks(batch.node_index):
+                for lo, block in row_blocks(batch.node_index, faces_per_block):
                     # Each face block formats the nodes it uses once; a node
                     # shared by several blocks is formatted in each of them.
                     used, local = np.unique(block, return_inverse=True)
-                    coords = [f"{x!r},{y!r},{z!r}"
-                              for x, y, z in batch.unique_nodes[used].tolist()]
-                    fh.write("".join([f"{fi},{ni},{coords[u]}\n"
-                                      for fi, slots in enumerate(
-                                          local.reshape(block.shape).tolist(), lo)
+                    coord_lines = [f"{x!r},{y!r},{z!r}\n"
+                                   for x, y, z in batch.unique_nodes[used].tolist()]
+                    faces = map(str, range(lo, lo + len(block)))
+                    fh.write("".join([f"{face}{node_cols[ni]}{coord_lines[u]}"
+                                      for face, slots in zip(
+                                          faces, local.reshape(block.shape).tolist())
                                       for ni, u in enumerate(slots)]))
         return 0
 

@@ -216,11 +216,12 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
             affine_chart_points(verts[f], basis.nodes[inner]).reshape(-1, 3))
     del edges, side_edge, used, vertex_id     # not needed while projecting
     try:
-        projected, _, _, _ = project_many(surface, flat_nodes)
+        # projected in place: the flat nodes are not needed afterwards
+        project_many(surface, flat_nodes, out=flat_nodes)
     except (NoConvergence, OutsideTube) as exc:
         raise IntegrationError(_locate_failures(node_index, exc)) from exc
     return ElementBatch(degree=degree, basis=basis, mesh=mesh,
-                        node_index=node_index, unique_nodes=projected)
+                        node_index=node_index, unique_nodes=flat_nodes)
 
 
 def _blocks(n_rows: int, nodes_per_row: int):
@@ -232,17 +233,22 @@ def _blocks(n_rows: int, nodes_per_row: int):
 
 
 def _locate_failures(node_index: np.ndarray, exc):
-    """Attribute failing unique-node indices to (face, local node) pairs."""
+    """Attribute every failing unique node to the first slot that uses it in
+    row-major order (first face, lowest local node), in the order of
+    ``exc.indices``."""
+    uids = np.asarray(exc.indices, dtype=np.int64)
+    faces, locals_ = np.nonzero(np.isin(node_index, uids))
+    found, first = np.unique(node_index[faces, locals_], return_index=True)
+    # every unique node fills at least one slot, so each uid is found
+    slots = first[np.searchsorted(found, uids)]
     failures = []
-    for n, uid in enumerate(exc.indices[:50]):
-        faces, locals_ = np.nonzero(node_index == uid)
-        if len(faces):
-            node = int(locals_[0])
-            if isinstance(exc, NoConvergence):
-                sub = NoConvergence(exc.iterations, exc.residuals[n],
-                                    f"node {node} did not converge "
-                                    f"(residual {exc.residuals[n]:.3e})")
-            else:
-                sub = OutsideTube(f"node {node}: {exc}")
-            failures.append((int(faces[0]), sub))
+    for n, (face, node) in enumerate(zip(faces[slots].tolist(),
+                                         locals_[slots].tolist())):
+        if isinstance(exc, NoConvergence):
+            sub = NoConvergence(exc.iterations, exc.residuals[n],
+                                f"node {node} did not converge "
+                                f"(residual {exc.residuals[n]:.3e})")
+        else:
+            sub = OutsideTube(f"node {node}: {exc}")
+        failures.append((face, sub))
     return failures or [(-1, exc)]

@@ -322,11 +322,12 @@ def symmetry_census(mesh: FlatMesh) -> MeshStats:
 _WRITE_BLOCK = 4096
 
 
-def row_blocks(table: np.ndarray):
+def row_blocks(table: np.ndarray, rows: Optional[int] = None):
     """Yield (first row, block) for successive row blocks of ``table``,
-    ``_WRITE_BLOCK`` rows at a time."""
-    for lo in range(0, len(table), _WRITE_BLOCK):
-        yield lo, table[lo:lo + _WRITE_BLOCK]
+    ``rows`` (by default ``_WRITE_BLOCK``) rows at a time."""
+    rows = rows or _WRITE_BLOCK
+    for lo in range(0, len(table), rows):
+        yield lo, table[lo:lo + rows]
 
 
 def write_off(mesh: FlatMesh, path) -> None:

@@ -315,13 +315,18 @@ def _hessian(surface: ImplicitSurface, pts: np.ndarray) -> np.ndarray:
 
 
 def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER):
+                 max_iter: int = DEFAULT_MAX_ITER, out=None):
     """Project an (n, 3) batch of points onto the surface.
 
     Returns (projected (n,3), signed distance (n,), iterations (n,),
     residuals (n,)).  Raises OutsideTube for degenerate seeds and
     NoConvergence if any point fails to converge within ``max_iter``; both
     name the failing points by their index in ``points``.
+
+    The projections go into ``out``, a float (n, 3) array, when it is given;
+    it may alias ``points``, whose original values then give the distances
+    all the same.  After a raise its blocks hold a mix of projected and
+    original points.
 
     The points are projected in blocks of ``_BLOCK`` into outputs allocated
     once, so the iteration's temporaries do not grow with the batch.  Every
@@ -332,7 +337,11 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive and finite")
 
     n = len(pts)
-    proj = np.empty((n, 3))
+    if out is None:
+        out = np.empty((n, 3))
+    elif out.shape != (n, 3) or out.dtype != float:
+        raise ValueError(f"out must be a float ({n}, 3) array, "
+                         f"got {out.dtype} {out.shape}")
     dist = np.empty(n)
     iters = np.zeros(n, dtype=int)
     resid = np.empty(n)
@@ -342,18 +351,20 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
         block = slice(lo, lo + _BLOCK)
         try:
             if surface.analytic_project is not None:
-                proj[block] = surface.analytic_project(pts[block])
-                resid[block] = np.abs(surface.phi(proj[block]))
+                proj = surface.analytic_project(pts[block])
+                resid[block] = np.abs(surface.phi(proj))
             else:
-                (proj[block], iters[block], resid[block],
+                (proj, iters[block], resid[block],
                  unconverged[block]) = _newton_block(surface, pts[block], tol, max_iter)
         except OutsideTube as exc:
             if outside is None:
                 outside = exc
             outside_indices += [lo + i for i in exc.indices]
             continue
+        # the original points are read before ``out`` may overwrite them
         dist[block] = np.sign(surface.phi(pts[block])) * np.linalg.norm(
-            pts[block] - proj[block], axis=-1)
+            pts[block] - proj, axis=-1)
+        out[block] = proj
 
     if outside is not None:
         raise OutsideTube(str(outside), indices=outside_indices) from outside
@@ -362,7 +373,7 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
         worst = int(bad[np.argmax(resid[bad])])
         raise NoConvergence(int(iters[worst]), float(resid[worst]),
                             indices=bad.tolist(), residuals=resid[bad].tolist())
-    return proj, dist, iters, resid
+    return out, dist, iters, resid
 
 
 def _newton_block(surface: ImplicitSurface, pts: np.ndarray, tol: float,

@@ -85,15 +85,15 @@ class TestMeshCommand:
         r = np.linalg.norm([float(x), float(y), float(z)])
         assert r == pytest.approx(1.0, abs=1e-11)
 
-    def test_curved_nodes_bytes(self, tmp_path):
+    def test_curved_nodes_bytes(self, tmp_path, k=3):
         csv = tmp_path / "nodes.csv"
         code = main(f"mesh --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
-                    f"--res 1 --levels 1 --k 3 --out {tmp_path / 'mesh.off'} "
+                    f"--res 1 --levels 1 --k {k} --out {tmp_path / 'mesh.off'} "
                     f"--curved-nodes {csv}".split())
         assert code == 0
         surface = sq.ellipsoid(1.0, 1.0, 0.6)
         mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
-        nodes = sq.build_surface_elements(mesh, surface, 3).element_nodes()
+        nodes = sq.build_surface_elements(mesh, surface, k).element_nodes()
         # one row per slot: nodes shared along edges repeat across faces
         rows = [f"{fi},{ni},{float(x)!r},{float(y)!r},{float(z)!r}"
                 for fi, face in enumerate(nodes) for ni, (x, y, z) in enumerate(face)]
@@ -101,22 +101,25 @@ class TestMeshCommand:
         assert csv.read_text() == "face,node,x,y,z\n" + "\n".join(rows) + "\n"
 
     def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch):
-        # 32 faces and 146 unique nodes, written five faces at a time; each
-        # block formats the nodes it uses, so a node shared with an earlier
-        # block is formatted again, and one first used in a later block sorts
-        # before nodes of block 0
-        monkeypatch.setattr(sq.refmesh, "_WRITE_BLOCK", 5)
+        # 32 faces written in blocks of about 50 lines: five faces of 10 rows
+        # at k=3, and one face of 66 rows at k=10.  At k=3 (146 unique nodes)
+        # each block formats the nodes it uses, so a node shared with an
+        # earlier block is formatted again, and one first used in a later
+        # block sorts before nodes of block 0
+        monkeypatch.setattr(sq.cli, "_CSV_LINES", 50)
         surface = sq.ellipsoid(1.0, 1.0, 0.6)
         mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
         index = sq.build_surface_elements(mesh, surface, 3).node_index
         assert np.intersect1d(index[:5], index[5:10]).size > 0
         assert np.setdiff1d(index[5:], index[:5]).min() < index[:5].max()
-        self.test_curved_nodes_bytes(tmp_path)
+        for k in (3, 10):
+            self.test_curved_nodes_bytes(tmp_path, k)
 
     def test_curved_nodes_write_memory_flat(self, tmp_path, monkeypatch):
-        # the export's memory above the built batch is one write block's,
-        # whatever the number of unique nodes (130 and 4,098 here)
-        monkeypatch.setattr(sq.refmesh, "_WRITE_BLOCK", 16)
+        # the export's memory above the built batch is one write block's
+        # (16 faces of 15 rows), whatever the number of unique nodes (130 and
+        # 4,098 here)
+        monkeypatch.setattr(sq.cli, "_CSV_LINES", 16 * 15)
         at_build = []
 
         def build_then_reset_peak(*args):
@@ -167,6 +170,8 @@ class TestIntegrateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "face" in err and "node" in err
+        # every one of the 224 failing unique nodes is counted, not the first 50
+        assert "(224 face/node failure(s))" in err
 
 
 class TestReportCommands:

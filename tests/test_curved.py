@@ -262,9 +262,10 @@ class TestBuildBlocks:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_peak_memory_bounded_by_kept_arrays(self, torus21):
-        # the flat nodes and project_many's four outputs are the only
-        # full-size temporaries: 2.6x the kept arrays here, 3.9x before the
-        # fill was blocked
+        # the flat nodes, projected in place, and project_many's three (n,)
+        # outputs are the only full-size arrays: 2.1x the kept arrays here,
+        # 2.6x with a separate projection output, 3.9x before the fill was
+        # blocked
         mesh = sq.generate_base(torus21, "struct_torus", 2)
         for _ in range(3):
             mesh = sq.bisect(mesh)
@@ -275,7 +276,7 @@ class TestBuildBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.25 * (batch.unique_nodes.nbytes + batch.node_index.nbytes)
+        assert peak < 2.4 * (batch.unique_nodes.nbytes + batch.node_index.nbytes)
 
 
 @pytest.fixture(scope="module", params=[1, 4, 10])
@@ -391,6 +392,20 @@ class TestFailureAttribution:
             assert f"residual {sub.residual:.3e}" in str(sub)
             residuals.append(sub.residual)
         assert len(set(residuals)) > 1
+
+    def test_every_failing_node_at_its_first_slot(self, flat_ellipsoid,
+                                                  one_iteration_projector):
+        mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
+        with pytest.raises(IntegrationError) as err:
+            build_surface_elements(mesh, flat_ellipsoid, 4)
+        failing = err.value.__cause__.indices
+        assert len(failing) == len(err.value.failures) == 224
+        # the node table depends on the mesh and k alone
+        index = build_surface_elements(mesh, sq.sphere(1.0), 4).node_index
+        for uid, (face, sub) in zip(failing, err.value.failures):
+            node = int(re.search(r"node (\d+) ", str(sub)).group(1))
+            faces, locals_ = np.nonzero(index == uid)
+            assert (face, node) == (faces[0], locals_[0])
 
     def test_message_lists_each_face_once(self, flat_ellipsoid,
                                           one_iteration_projector):

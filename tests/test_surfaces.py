@@ -140,8 +140,13 @@ class TestProjectionBlocks:
         whole = sq.project_many(surface, pts)
         monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
         blocked = sq.project_many(surface, pts)
-        for a, b in zip(whole, blocked):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # in place: distances come from the original points all the same
+        buf = pts.copy()
+        in_place = sq.project_many(surface, buf, out=buf)
+        assert in_place[0] is buf
+        for other in (blocked, in_place):
+            for a, b in zip(whole, other):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         if name == "ellipsoid":
             assert len(set(whole[2].tolist())) > 1    # Newton, varied iteration counts
 
@@ -168,6 +173,10 @@ class TestProjectionBlocks:
         assert far[int(np.argmax(alone))] >= self.B
         assert blocked.value.residual == max(alone)
         assert blocked.value.residuals == whole.value.residuals == alone
+        with pytest.raises(NoConvergence) as in_place:
+            sq.project_many(flat_ellipsoid, pts.copy(), max_iter=1, out=pts)
+        assert in_place.value.indices == far
+        assert in_place.value.residuals == alone
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6)],
                              ids=["sphere", "ellipsoid"])
@@ -179,6 +188,27 @@ class TestProjectionBlocks:
         with pytest.raises(OutsideTube) as err:
             sq.project_many(surface, pts)
         assert err.value.indices == [2, 11]
+        with pytest.raises(OutsideTube) as err:
+            sq.project_many(surface, pts, out=pts)
+        assert err.value.indices == [2, 11]
+
+    def test_out_shape_checked(self, unit_sphere):
+        pts = np.ones((4, 3))
+        for out in (np.empty((3, 3)), np.empty((4, 3), dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                sq.project_many(unit_sphere, pts, out=out)
+
+    @pytest.mark.parametrize("name", ["torus", "ellipsoid"])
+    def test_project_vertices_keeps_flat_vertices(self, name):
+        surface = sq.torus(2.0, 1.0) if name == "torus" else sq.ellipsoid(1.0, 1.0, 0.6)
+        # bisection puts new vertices off the surface
+        mesh = sq.bisect(sq.generate_base(surface, "struct_torus" if name == "torus"
+                                          else "scaled_ellipsoid", 1))
+        flat = mesh.vertices.copy()
+        projected = sq.project_vertices(mesh, surface)
+        assert mesh.vertices.tobytes() == flat.tobytes()
+        assert projected.vertices.tobytes() == sq.project_many(surface, flat)[0].tobytes()
+        assert not np.array_equal(projected.vertices, flat)
 
     def test_peak_memory_bounded_by_outputs(self, flat_ellipsoid, rng):
         # temporaries are sized by a block, not by the batch (~700 B a point)
