@@ -173,8 +173,9 @@ class TestProjectionBlocks:
         assert far[int(np.argmax(alone))] >= self.B
         assert blocked.value.residual == max(alone)
         assert blocked.value.residuals == whole.value.residuals == alone
+        buf = pts.copy()
         with pytest.raises(NoConvergence) as in_place:
-            sq.project_many(flat_ellipsoid, pts.copy(), max_iter=1, out=pts)
+            sq.project_many(flat_ellipsoid, buf, max_iter=1, out=buf)
         assert in_place.value.indices == far
         assert in_place.value.residuals == alone
 
