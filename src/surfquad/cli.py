@@ -12,12 +12,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import study
-from .curved import build_surface_elements
+from .curved import build_surface_elements, face_blocks, merged_failures
 from .errors import IntegrationError, SurfquadError
-from .interp import cheb_lebesgue, lebesgue_formula
+from .interp import cheb_lebesgue, lagrange_basis, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
 from .refmesh import bisect, generate_base, mesh_size, row_blocks, write_off
 from .surfaces import parse_surface
@@ -134,6 +132,36 @@ def _refined_mesh(surface, args):
     return mesh
 
 
+def _write_curved_nodes(mesh, surface, k, path) -> None:
+    """The projected nodes of every face as CSV rows face,node,x,y,z, built
+    and written a face block at a time.  Projection failures of all blocks
+    are raised together; the file then ends before the first failing block."""
+    count = lagrange_basis(k).count
+    node_cols = [f",{ni}," for ni in range(count)]
+    faces_per_write = max(1, _CSV_LINES // count)
+    failed = []
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("face,node,x,y,z\n")
+        for faces in face_blocks(mesh.n_faces):
+            try:
+                batch = build_surface_elements(mesh, surface, k, faces)
+            except IntegrationError as exc:
+                failed.append(exc)
+            if failed:
+                continue
+            # each node of the block is formatted once; a node shared with
+            # another block is formatted in each
+            coord_lines = [f"{x!r},{y!r},{z!r}\n"
+                           for x, y, z in batch.unique_nodes.tolist()]
+            for lo, block in row_blocks(batch.node_index, faces_per_write):
+                first = faces.start + lo
+                fh.write("".join([f"{face}{node_cols[ni]}{coord_lines[u]}"
+                                  for face, slots in enumerate(block.tolist(), first)
+                                  for ni, u in enumerate(slots)]))
+    if failed:
+        raise merged_failures(failed) from failed[0]
+
+
 def run(args, parser) -> int:
     surface = None
     if hasattr(args, "surface"):
@@ -146,22 +174,7 @@ def run(args, parser) -> int:
             mesh = reproject(mesh, surface)
         write_off(mesh, args.out)
         if args.curved_nodes:
-            batch = build_surface_elements(mesh, surface, args.k)
-            node_cols = [f",{ni}," for ni in range(batch.basis.count)]
-            faces_per_block = max(1, _CSV_LINES // batch.basis.count)
-            with open(args.curved_nodes, "w", encoding="ascii") as fh:
-                fh.write("face,node,x,y,z\n")
-                for lo, block in row_blocks(batch.node_index, faces_per_block):
-                    # Each face block formats the nodes it uses once; a node
-                    # shared by several blocks is formatted in each of them.
-                    used, local = np.unique(block, return_inverse=True)
-                    coord_lines = [f"{x!r},{y!r},{z!r}\n"
-                                   for x, y, z in batch.unique_nodes[used].tolist()]
-                    faces = map(str, range(lo, lo + len(block)))
-                    fh.write("".join([f"{face}{node_cols[ni]}{coord_lines[u]}"
-                                      for face, slots in zip(
-                                          faces, local.reshape(block.shape).tolist())
-                                      for ni, u in enumerate(slots)]))
+            _write_curved_nodes(mesh, surface, args.k, args.curved_nodes)
         return 0
 
     if args.command == "integrate":

@@ -2,11 +2,13 @@
 
 Every reference node of a flat triangle (vertices included) is pushed through
 the affine chart and projected onto the surface; interpolating the projected
-nodes gives the element's polynomial chart.  Elements are built a mesh at a
-time, a single element as the face of a one-face mesh: the nodes are
-deduplicated through the vertex ids and ``refmesh.edge_table`` before
-projection, so shared edge nodes of neighboring elements are bitwise identical
-(watertight).
+nodes gives the element's polynomial chart.  Elements are built for a
+contiguous range of a mesh's faces (the whole mesh by default; a single
+element is the face of a one-face mesh): the nodes are deduplicated through
+the vertex ids and the mesh's one edge table before projection, so shared
+edge nodes of neighboring elements are bitwise identical (watertight), also
+when the two faces fall in different ranges.  Integration and the node export
+stream a fine mesh through ``face_blocks``, so no mesh-wide node table exists.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ def affine_chart_points(flat_tri: np.ndarray, ref_pts: np.ndarray) -> np.ndarray
 
 # nodes per block when the flat nodes and node table of a mesh are filled
 _FILL_BLOCK = 8192
+
+# faces per block when a mesh's curved elements are built, projected and
+# integrated or written one block at a time
+_FACE_BLOCK = 2048
 
 _CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
 
@@ -138,7 +144,8 @@ def element_diameter(elem: CurvedElement) -> float:
 
 @dataclass(frozen=True)
 class ElementBatch:
-    """All curved elements of a mesh, sharing one deduplicated node table."""
+    """The curved elements of a mesh or of a range of its faces, sharing one
+    deduplicated node table."""
 
     degree: int
     basis: LagrangeBasis
@@ -163,24 +170,40 @@ class ElementBatch:
 
 
 def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
-                           degree: int) -> ElementBatch:
-    """Curved elements for every face, with shared-edge nodes deduplicated.
+                           degree: int, faces: slice = slice(None)) -> ElementBatch:
+    """Curved elements for a contiguous range of the mesh's faces (all of them
+    by default), with shared-edge nodes deduplicated.
 
-    Unique nodes are the referenced vertices, then k-1 nodes per edge of
-    ``edge_table``, then each face's interior nodes.  Edge-node flat
-    coordinates are computed from the canonical (smaller global vertex
-    first) parametrization, so both adjacent faces name the identical
-    floating-point point and receive the identical projection.
+    The range's nodes are its vertices, then k-1 nodes per edge, then each
+    face's interior nodes, each group in the whole mesh's order (vertex index,
+    ``edge_table`` id, face): a range's nodes are those of the whole mesh's
+    build, in the same order.  Edge-node flat coordinates are computed from
+    the canonical (smaller global vertex first) parametrization and every
+    node is projected elementwise, so the faces that share a node, in one
+    range or in two, get the identical floating-point point and projection.
+    A partial range's batch holds its faces as a mesh over the same vertices:
+    its node table and face numbers are local, while a projection failure
+    names faces of the whole mesh and, in each sub-error's ``indices``, the
+    node's id in the whole mesh's build.
     """
     basis = lagrange_basis(degree)
     k = degree
-    faces = mesh.faces
-    verts = mesh.vertices
-    edges, side_edge = edge_table(faces)
-    used, vertex_id = np.unique(faces, return_inverse=True)
-    vertex_id = vertex_id.reshape(faces.shape)
+    first, stop, stride = faces.indices(mesh.n_faces)
+    if stride != 1:
+        raise ValueError(f"faces must be a contiguous range, got {faces}")
+    stop = max(first, stop)
+    block = (mesh if (first, stop) == (0, mesh.n_faces)
+             else FlatMesh(mesh.vertices, mesh.faces[first:stop]))
+    verts, block_faces = mesh.vertices, block.faces
+    # a partial range reads the mesh's kept edge table; the whole mesh's build
+    # makes its own and frees it before projecting
+    edges, side_edge = edge_table(mesh.faces) if block is mesh else mesh.edges
+    used, vertex_id = np.unique(block_faces, return_inverse=True)
+    vertex_id = vertex_id.reshape(block_faces.shape)
+    edge_ids, edge_id = np.unique(side_edge[first:stop], return_inverse=True)
+    edge_id = edge_id.reshape(block_faces.shape)
     edge_base = len(used)
-    face_base = edge_base + len(edges) * (k - 1)
+    face_base = edge_base + len(edge_ids) * (k - 1)
 
     # Each boundary lattice node lies `step` nodes along face side (0,1),
     # (1,2) or (2,0) from that side's first corner; step 0 is the corner.
@@ -194,34 +217,46 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     n_inner = int(inner.sum())
 
     # The node table and the flat nodes are filled a bounded block of edges
-    # or faces at a time, so no temporary grows with the mesh; every node is
-    # computed elementwise, so its bits do not depend on its block.
-    node_index = np.empty((len(faces), basis.count), dtype=np.int64)
-    flat_nodes = np.empty((face_base + len(faces) * n_inner, 3))
+    # or faces at a time, so no temporary grows with the range; every node is
+    # computed elementwise, so its bits do not depend on its block or range.
+    n_nodes = face_base + len(block_faces) * n_inner
+    node_index = np.empty((len(block_faces), basis.count),
+                          dtype=np.int32 if n_nodes < 2**31 else np.int64)
+    flat_nodes = np.empty((n_nodes, 3))
     flat_nodes[:edge_base] = verts[used]
     steps = np.arange(1, k) / k
-    for lo, hi in _blocks(len(edges), k - 1):
-        va, vb = verts[edges[lo:hi, 0]][:, None], verts[edges[lo:hi, 1]][:, None]
+    for lo, hi in _blocks(len(edge_ids), k - 1):
+        ends = edges[edge_ids[lo:hi]]
+        va, vb = verts[ends[:, 0]][:, None], verts[ends[:, 1]][:, None]
         flat_nodes[edge_base + lo * (k - 1):edge_base + hi * (k - 1)] = (
             va + (vb - va) * steps[:, None]).reshape(-1, 3)
-    for lo, hi in _blocks(len(faces), basis.count):
-        f = faces[lo:hi]
+    for lo, hi in _blocks(len(block_faces), basis.count):
+        f = block_faces[lo:hi]
         forward = f[:, s] < f[:, (s + 1) % 3]
         node_index[lo:hi, corner] = vertex_id[lo:hi][:, side[corner]]
-        node_index[lo:hi, along] = (edge_base + side_edge[lo:hi, s] * (k - 1)
+        node_index[lo:hi, along] = (edge_base + edge_id[lo:hi, s] * (k - 1)
                                     + np.where(forward, t, k - t) - 1)
         node_index[lo:hi, inner] = (face_base + np.arange(lo, hi)[:, None] * n_inner
                                     + np.arange(n_inner))
         flat_nodes[face_base + lo * n_inner:face_base + hi * n_inner] = (
             affine_chart_points(verts[f], basis.nodes[inner]).reshape(-1, 3))
-    del edges, side_edge, used, vertex_id     # not needed while projecting
+    # not needed while projecting
+    del edges, side_edge, used, vertex_id, edge_ids, edge_id
     try:
         # projected in place: the flat nodes are not needed afterwards
         project_many(surface, flat_nodes, out=flat_nodes)
     except (NoConvergence, OutsideTube) as exc:
-        raise IntegrationError(_locate_failures(node_index, exc)) from exc
-    return ElementBatch(degree=degree, basis=basis, mesh=mesh,
+        ids = _mesh_node_ids(mesh, k, first, stop, exc.indices)
+        raise IntegrationError(
+            _locate_failures(node_index, exc, first, ids)) from exc
+    return ElementBatch(degree=degree, basis=basis, mesh=block,
                         node_index=node_index, unique_nodes=flat_nodes)
+
+
+def face_blocks(n_faces: int) -> list[slice]:
+    """Successive ranges of ``_FACE_BLOCK`` faces that cover ``n_faces``."""
+    return [slice(lo, min(lo + _FACE_BLOCK, n_faces))
+            for lo in range(0, n_faces, _FACE_BLOCK)]
 
 
 def _blocks(n_rows: int, nodes_per_row: int):
@@ -232,23 +267,65 @@ def _blocks(n_rows: int, nodes_per_row: int):
         yield lo, min(lo + size, n_rows)
 
 
-def _locate_failures(node_index: np.ndarray, exc):
-    """Attribute every failing unique node to the first slot that uses it in
+def _mesh_node_ids(mesh: FlatMesh, k: int, first: int, stop: int,
+                   local) -> np.ndarray:
+    """The ids that the whole mesh's build gives the nodes ``local`` of the
+    build of faces ``first:stop``."""
+    used = np.unique(mesh.faces[first:stop])
+    edge_ids = np.unique(mesh.edges[1][first:stop])
+    vertices = np.unique(mesh.faces)
+    local = np.asarray(local, dtype=np.int64)
+    edge_nodes = len(edge_ids) * (k - 1)
+    face_base = len(vertices) + len(mesh.edges[0]) * (k - 1)
+    vert = local < len(used)
+    inner = local >= len(used) + edge_nodes
+    along = ~vert & ~inner
+    ids = np.empty_like(local)
+    ids[vert] = np.searchsorted(vertices, used[local[vert]])
+    edge, step = np.divmod(local[along] - len(used), max(1, k - 1))
+    ids[along] = len(vertices) + edge_ids[edge] * (k - 1) + step
+    ids[inner] = (face_base + first * (k - 1) * (k - 2) // 2
+                  + local[inner] - len(used) - edge_nodes)
+    return ids
+
+
+def _locate_failures(node_index: np.ndarray, exc, first: int, ids: np.ndarray):
+    """Attribute every failing node to the first slot that uses it in
     row-major order (first face, lowest local node), in the order of
-    ``exc.indices``."""
+    ``exc.indices``; ``ids`` are their mesh-wide node ids, which each
+    sub-error carries as its ``indices``, and faces count from ``first``."""
     uids = np.asarray(exc.indices, dtype=np.int64)
     faces, locals_ = np.nonzero(np.isin(node_index, uids))
-    found, first = np.unique(node_index[faces, locals_], return_index=True)
-    # every unique node fills at least one slot, so each uid is found
-    slots = first[np.searchsorted(found, uids)]
+    found, firsts = np.unique(node_index[faces, locals_], return_index=True)
+    # every node fills at least one slot, so each uid is found
+    slots = firsts[np.searchsorted(found, uids)]
+    ids = ids.tolist()
     failures = []
     for n, (face, node) in enumerate(zip(faces[slots].tolist(),
                                          locals_[slots].tolist())):
         if isinstance(exc, NoConvergence):
             sub = NoConvergence(exc.iterations, exc.residuals[n],
                                 f"node {node} did not converge "
-                                f"(residual {exc.residuals[n]:.3e})")
+                                f"(residual {exc.residuals[n]:.3e})",
+                                indices=ids[n:n + 1],
+                                residuals=exc.residuals[n:n + 1])
         else:
-            sub = OutsideTube(f"node {node}: {exc}")
-        failures.append((face, sub))
+            sub = OutsideTube(f"node {node}: {exc}", indices=ids[n:n + 1])
+        failures.append((first + face, sub))
     return failures or [(-1, exc)]
+
+
+def merged_failures(errors) -> IntegrationError:
+    """One error for the projection failures raised by the builds of
+    successive face ranges, listed as one build of their union lists them:
+    each failing node once, at its first slot, in node-id order; only the
+    nodes outside the tube if there are any, since those stop a projection
+    before its convergence is judged."""
+    first = {}
+    for err in errors:
+        for face, sub in err.failures:
+            first.setdefault(sub.indices[0] if sub.indices else -1, (face, sub))
+    failures = [first[node] for node in sorted(first)]
+    outside = [(face, sub) for face, sub in failures
+               if isinstance(sub, OutsideTube)]
+    return IntegrationError(outside or failures)

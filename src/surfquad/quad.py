@@ -4,14 +4,21 @@ Two integrand modes are supported: ``exact_f`` evaluates the integrand at the
 curved chart points, ``interp_f`` samples it only at the projected nodes (on
 the surface) and integrates its degree-k interpolant.  The total is
 ``math.fsum`` of the element values: the one correctly rounded sum, whatever
-the element order.  An element's value does not depend on its chunk or
-thread, so totals are bit-reproducible and independent of face numbering and
-thread count.
+the element order.  An element's value does not depend on its chunk, face
+block or thread, so totals are bit-reproducible and independent of face
+numbering and thread count.
+
+``integrate_surface`` streams a mesh: one pool of workers builds, projects
+and integrates one face block (``curved.face_blocks``) per task, so memory
+beyond the mesh is that of the blocks in flight, whatever the level.  A
+prebuilt whole batch is integrated in chunks, its nodal values taken a block
+of nodes at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,11 +27,13 @@ from typing import Callable
 import numpy as np
 
 from . import quadrules
-from .curved import (_CENTROID, CurvedElement, ElementBatch, _basis_tables,
-                     _chart_metric, _chart_points, _folded_charts,
-                     build_surface_elements)
+from .curved import (_CENTROID, _FILL_BLOCK, CurvedElement, ElementBatch,
+                     _basis_tables, _chart_metric, _chart_points,
+                     _folded_charts, build_surface_elements, face_blocks,
+                     merged_failures)
 from .errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
                      UnsupportedDegree)
+from .interp import lagrange_basis
 from .refmesh import FlatMesh
 from .surfaces import ImplicitSurface
 
@@ -85,11 +94,21 @@ def builtin_rule(degree: int) -> QuadratureRule:
     return rule
 
 
-def _nodal_values(mode: str, f: Callable, nodes: np.ndarray):
-    """f at the projected nodes in interp mode; None in exact mode."""
+def _check_mode(mode: str) -> None:
     if mode not in (MODE_EXACT, MODE_INTERP):
         raise ValueError(f"unknown integration mode {mode!r}")
-    return np.asarray(f(nodes), dtype=float) if mode == MODE_INTERP else None
+
+
+def _nodal_values(mode: str, f: Callable, nodes: np.ndarray):
+    """f at the (n, 3) projected nodes in interp mode, ``_FILL_BLOCK`` nodes
+    at a time into one (n,) array; None in exact mode."""
+    _check_mode(mode)
+    if mode == MODE_EXACT:
+        return None
+    values = np.empty(len(nodes))
+    for lo in range(0, len(nodes), _FILL_BLOCK):
+        values[lo:lo + _FILL_BLOCK] = f(nodes[lo:lo + _FILL_BLOCK])
+    return values
 
 
 def _chart_integrals(tables: tuple, weights: np.ndarray, nodes: np.ndarray,
@@ -115,9 +134,9 @@ def _chart_integrals(tables: tuple, weights: np.ndarray, nodes: np.ndarray,
 
 
 def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
-                    f: Callable, surface: ImplicitSurface,
-                    threads: int = 1) -> np.ndarray:
-    """Per-element integral values, vectorized over chunks of elements."""
+                    f: Callable, surface: ImplicitSurface, threads: int = 1):
+    """Per-element integral values, vectorized over chunks of elements, and
+    the (face, error) failures of the batch's elements in face order."""
     f_nodal_unique = _nodal_values(mode, f, batch.unique_nodes)
     tables = _basis_tables(batch.basis, rule.points)
     centroid_tables = _basis_tables(batch.basis, _CENTROID)
@@ -142,27 +161,58 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
             failures.extend((lo + int(ci), error(why))
                             for ci in np.flatnonzero(mask))
 
-    starts = range(0, batch.n_elements, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for lo in starts:
-            run_chunk(lo)
+    _run(run_chunk, range(0, batch.n_elements, _CHUNK), threads)
+    failures.sort(key=lambda t: t[0])
+    return out, failures
 
+
+def _streamed_values(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
+                     k: int, rule: QuadratureRule, mode: str,
+                     threads: int = 1) -> np.ndarray:
+    """Per-element integral values of the mesh's degree-k elements, each face
+    block built, projected and integrated by one task, so that only the
+    blocks in flight hold nodes.  A node shared by two blocks is projected in
+    each, with the same bits, so the values are those of one whole batch."""
+    lagrange_basis(k)     # any conditioning warning comes from this thread
+    blocks = face_blocks(mesh.n_faces)
+    if len(blocks) > 1:
+        mesh.edges        # computed once, before the tasks share it
+    out = np.empty(mesh.n_faces)
+
+    def run_block(faces: slice):
+        try:
+            batch = build_surface_elements(mesh, surface, k, faces)
+        except IntegrationError as exc:
+            return exc, []
+        out[faces], failures = _element_values(batch, rule, mode, f, surface)
+        return None, [(faces.start + face, exc) for face, exc in failures]
+
+    results = _run(run_block, blocks, threads)
+    unprojected = [exc for exc, _ in results if exc is not None]
+    if unprojected:
+        raise merged_failures(unprojected) from unprojected[0]
+    failures = [failure for _, block in results for failure in block]
     if failures:
-        failures.sort(key=lambda t: t[0])
         raise IntegrationError(failures)
     return out
+
+
+def _run(task: Callable, items, threads: int) -> list:
+    """``task`` over ``items``, on a pool of ``threads`` workers if more than
+    one, with the results in item order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(task, items))
+    return [task(item) for item in items]
 
 
 def integrate_element(elem: CurvedElement, f: Callable, rule: QuadratureRule,
                       mode: str = MODE_EXACT) -> float:
     """Integral of f over a single curved element."""
-    nodes = elem.projected_nodes[None]
+    f_nodal = _nodal_values(mode, f, elem.projected_nodes)
     value, degenerate = _chart_integrals(_basis_tables(elem.basis, rule.points),
-                                         rule.weights, nodes, f,
-                                         _nodal_values(mode, f, nodes))
+                                         rule.weights, elem.projected_nodes[None], f,
+                                         None if f_nodal is None else f_nodal[None])
     if degenerate[0]:
         raise DegenerateJacobian("metric determinant <= 0 at a quadrature point")
     if not np.isfinite(value[0]):
@@ -174,14 +224,31 @@ def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
                       k: int, rule: QuadratureRule, mode: str = MODE_INTERP,
                       threads: int = 1,
                       batch: ElementBatch | None = None) -> IntegralResult:
-    """Integral of f over the degree-k curved triangulation of the mesh."""
+    """Integral of f over the degree-k curved triangulation of the mesh.
+
+    Without ``batch`` the elements are streamed a face block at a time over
+    ``threads`` workers; a given ``batch`` (the mesh's degree-k elements) is
+    integrated as a whole, its chunks over ``threads`` workers.
+    """
+    _check_mode(mode)
     if batch is None:
-        batch = build_surface_elements(mesh, surface, k)
+        values = _streamed_values(mesh, surface, f, k, rule, mode, threads)
     elif batch.mesh is not mesh or batch.degree != k:
         raise ValueError("batch must hold the degree-k elements of this mesh")
-    values = _element_values(batch, rule, mode, f, surface, threads=threads)
-    return IntegralResult(value=math.fsum(values.tolist()),
-                          n_elements=batch.n_elements, mode=mode, k=k)
+    else:
+        values, failures = _element_values(batch, rule, mode, f, surface,
+                                           threads=threads)
+        if failures:
+            raise IntegrationError(failures)
+    return IntegralResult(value=_fsum(values), n_elements=mesh.n_faces,
+                          mode=mode, k=k)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of an array, converted to floats a block at a time."""
+    return math.fsum(itertools.chain.from_iterable(
+        values[lo:lo + _FILL_BLOCK].tolist()
+        for lo in range(0, len(values), _FILL_BLOCK)))
 
 
 def constant_one(pts: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ gain, so the gain does not rest on exact pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,6 +51,15 @@ class FlatMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
+
+    @functools.cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``edge_table(self.faces)``, computed once per mesh: bisection and
+        every face block of the curved-node build share it."""
+        table = edge_table(self.faces)
+        for array in table:
+            array.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -240,7 +250,7 @@ def bisect(mesh: FlatMesh) -> FlatMesh:
     midpoint coordinates are bitwise shared between neighbors.  New vertices
     are NOT projected back to the surface.
     """
-    edges, side_edge = edge_table(mesh.faces)
+    edges, side_edge = mesh.edges
     v = mesh.vertices
     mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
     a, b, c = mesh.faces.T

@@ -101,11 +101,11 @@ class TestMeshCommand:
         assert csv.read_text() == "face,node,x,y,z\n" + "\n".join(rows) + "\n"
 
     def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch):
-        # 32 faces written in blocks of about 50 lines: five faces of 10 rows
-        # at k=3, and one face of 66 rows at k=10.  At k=3 (146 unique nodes)
-        # each block formats the nodes it uses, so a node shared with an
-        # earlier block is formatted again, and one first used in a later
-        # block sorts before nodes of block 0
+        # 32 faces, one face range, written in blocks of about 50 lines: five
+        # faces of 10 rows at k=3, and one face of 66 rows at k=10.  At k=3
+        # (146 unique nodes) a block shares nodes with an earlier one and uses
+        # nodes that sort before those of block 0; every block takes its
+        # lines from the range's one node list
         monkeypatch.setattr(sq.cli, "_CSV_LINES", 50)
         surface = sq.ellipsoid(1.0, 1.0, 0.6)
         mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
@@ -116,30 +116,34 @@ class TestMeshCommand:
             self.test_curved_nodes_bytes(tmp_path, k)
 
     def test_curved_nodes_write_memory_flat(self, tmp_path, monkeypatch):
-        # the export's memory above the built batch is one write block's
-        # (16 faces of 15 rows), whatever the number of unique nodes (130 and
-        # 4,098 here)
-        monkeypatch.setattr(sq.cli, "_CSV_LINES", 16 * 15)
-        at_build = []
+        # the export's memory above the mesh and its kept edge table is one
+        # face block's (64 faces of 15 rows, built and written as one block),
+        # whatever the number of blocks (2 and 32 here): every block is built
+        # after the peak is reset
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 64)
+        monkeypatch.setattr(sq.cli, "_CSV_LINES", 64 * 15)
+        at_first_block = []
 
-        def build_then_reset_peak(*args):
-            batch = sq.build_surface_elements(*args)
-            tracemalloc.reset_peak()
-            at_build.append(tracemalloc.get_traced_memory()[0])
-            return batch
+        def reset_peak_then_build(mesh, *args):
+            if len(at_first_block) < len(peaks) + 1:
+                mesh.edges     # made by the first block, kept with the mesh
+                tracemalloc.reset_peak()
+                at_first_block.append(tracemalloc.get_traced_memory()[0])
+            return sq.build_surface_elements(mesh, *args)
 
-        monkeypatch.setattr(sq.cli, "build_surface_elements", build_then_reset_peak)
+        monkeypatch.setattr(sq.cli, "build_surface_elements", reset_peak_then_build)
         peaks = []
-        for levels in (1, 3):
+        for levels in (2, 4):
             tracemalloc.start()
             try:
                 code = main(f"mesh --surface sphere:R=1 --kind octa_sphere --res 1 "
                             f"--levels {levels} --k 4 --out {tmp_path / 'm.off'} "
                             f"--curved-nodes {tmp_path / 'n.csv'}".split())
-                peaks.append(tracemalloc.get_traced_memory()[1] - at_build[-1])
+                peaks.append(tracemalloc.get_traced_memory()[1] - at_first_block[-1])
             finally:
                 tracemalloc.stop()
             assert code == 0
+        assert len(at_first_block) == 2
         assert peaks[1] < 1.25 * peaks[0]
 
     def test_project_vertices_flag(self, tmp_path):
@@ -227,6 +231,37 @@ class TestReportCommands:
             main("runge-study --surface sphere:R=1 --kind octa_sphere "
                  "--k-min 5 --k-max 2".split())
         assert exc.value.code == 2
+
+
+class TestFaceBlocks:
+    """Outputs are the same bytes whether a mesh is streamed in many face
+    blocks or in one, at any --threads."""
+
+    @pytest.mark.parametrize("command", [
+        "converge --surface torus:R=2,r=1 --kind struct_torus --res 1 --k 4 "
+        "--levels 2",
+        "converge --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
+        "--res 1 --k 4 --levels 2",
+        "runge-study --surface torus:R=2,r=1 --kind struct_torus --res 1 "
+        "--levels 1 --k-max 6"], ids=["torus", "ellipsoid", "runge"])
+    def test_report_bytes_across_blocks(self, tmp_path, monkeypatch, command):
+        outputs = []
+        # blocks of 7 faces: 5 to 74 blocks per level, the last one short
+        for block in (1 << 30, 7):
+            monkeypatch.setattr(sq.curved, "_FACE_BLOCK", block)
+            for threads in (1, 2):
+                out = tmp_path / f"{block}-{threads}.csv"
+                assert main(f"{command} --threads {threads} --out {out}".split()) == 0
+                outputs.append(out.read_bytes())
+        assert all(o == outputs[0] for o in outputs[1:])
+
+    def test_curved_nodes_bytes_across_blocks(self, tmp_path, monkeypatch):
+        # 32 faces in blocks of 5; at k=10 each block's 330 rows are written
+        # in five blocks of about 70 lines
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 5)
+        monkeypatch.setattr(sq.cli, "_CSV_LINES", 70)
+        for k in (1, 3, 10):
+            TestMeshCommand().test_curved_nodes_bytes(tmp_path, k)
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import surfquad as sq
+from surfquad import cli
 from surfquad.curved import (_basis_tables, _chart_metric, affine_chart_points,
                              build_surface_elements)
 from surfquad.errors import (DegenerateJacobian, IntegrationError, NoConvergence,
@@ -263,9 +264,9 @@ class TestBuildBlocks:
 
     def test_peak_memory_bounded_by_kept_arrays(self, torus21):
         # the flat nodes, projected in place, and project_many's three (n,)
-        # outputs are the only full-size arrays: 2.1x the kept arrays here,
-        # 2.6x with a separate projection output, 3.9x before the fill was
-        # blocked
+        # outputs are the only full-size arrays: 2.38x the kept arrays here
+        # with an int32 node table (2.1x with int64), 3.1x with a separate
+        # projection output, 3.9x before the fill was blocked
         mesh = sq.generate_base(torus21, "struct_torus", 2)
         for _ in range(3):
             mesh = sq.bisect(mesh)
@@ -277,6 +278,41 @@ class TestBuildBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2.4 * (batch.unique_nodes.nbytes + batch.node_index.nbytes)
+
+
+class TestFaceRanges:
+    """A face range's build is the whole batch restricted to its faces: its
+    nodes are the whole batch's, bit for bit, in the same order."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_range_is_whole_batch_restricted(self, torus21, flat_ellipsoid, k):
+        for surface, mesh in (
+                (torus21, sq.bisect(sq.generate_base(torus21, "struct_torus", 1))),
+                (flat_ellipsoid, sq.bisect(sq.generate_base(
+                    flat_ellipsoid, "scaled_ellipsoid", 1)))):
+            whole = build_surface_elements(mesh, surface, k)
+            assert whole.node_index.dtype == np.int32
+            full = build_surface_elements(mesh, surface, k, slice(0, mesh.n_faces))
+            assert full.mesh is mesh
+            assert full.node_index.tobytes() == whole.node_index.tobytes()
+            assert full.unique_nodes.tobytes() == whole.unique_nodes.tobytes()
+            for faces in (slice(0, 1), slice(5, 12), slice(17, None), slice(-3, None)):
+                part = build_surface_elements(mesh, surface, k, faces)
+                ids = np.unique(whole.node_index[faces])
+                assert part.unique_nodes.tobytes() == whole.unique_nodes[ids].tobytes()
+                assert np.array_equal(ids[part.node_index], whole.node_index[faces])
+                assert np.array_equal(part.mesh.faces, mesh.faces[faces])
+                assert part.mesh.vertices is mesh.vertices
+
+    def test_rejects_strided_range(self, unit_sphere):
+        mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)
+        with pytest.raises(ValueError, match="contiguous"):
+            build_surface_elements(mesh, unit_sphere, 2, slice(0, 8, 2))
+
+    def test_face_blocks_cover_the_mesh(self, monkeypatch):
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
+        assert sq.curved.face_blocks(7) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert sq.curved.face_blocks(0) == []
 
 
 @pytest.fixture(scope="module", params=[1, 4, 10])
@@ -420,6 +456,59 @@ class TestFailureAttribution:
         assert len(many.failures) == 30
         assert str(many).startswith(
             "integration failed on faces [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (+2 more): x")
+
+    def test_face_blocks_report_the_whole_builds_failures(
+            self, flat_ellipsoid, one_iteration_projector, monkeypatch, tmp_path,
+            capsys):
+        mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
+        with pytest.raises(IntegrationError) as err:
+            build_surface_elements(mesh, flat_ellipsoid, 4)
+        assert [sub.indices for _, sub in err.value.failures] == [
+            [uid] for uid in err.value.__cause__.indices]
+
+        def listed(failures):
+            return [(face, str(sub), sub.residual, sub.indices)
+                    for face, sub in failures]
+
+        expected = listed(err.value.failures)
+        assert len(expected) == 224
+        # 11 blocks of 3 faces: most failing nodes are shared by two blocks
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
+        rule = sq.builtin_rule(12)
+        for threads in (1, 2):
+            with pytest.raises(IntegrationError) as streamed:
+                sq.integrate_surface(mesh, flat_ellipsoid,
+                                     flat_ellipsoid.gauss_curvature, 4, rule,
+                                     threads=threads)
+            assert listed(streamed.value.failures) == expected
+        with pytest.raises(IntegrationError) as exported:
+            cli._write_curved_nodes(mesh, flat_ellipsoid, 4, tmp_path / "n.csv")
+        assert listed(exported.value.failures) == expected
+        code = cli.main(
+            f"mesh --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
+            f"--res 1 --levels 1 --k 4 --out {tmp_path / 'm.off'} "
+            f"--curved-nodes {tmp_path / 'n.csv'}".split())
+        assert code == 1
+        assert "(224 face/node failure(s))" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("surface", [sq.sphere(1.0),
+                                         sq.ellipsoid(1.0, 1.0, 0.6)],
+                             ids=["sphere", "ellipsoid"])
+    def test_outside_tube_once_across_face_blocks(self, surface, monkeypatch):
+        # both faces hold the k=2 node at the origin, on their shared edge
+        verts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                          [0.0, 0.0, -1.0]])
+        mesh = FlatMesh(verts, np.array([[0, 1, 2], [1, 0, 3]]))
+        with pytest.raises(IntegrationError) as whole:
+            build_surface_elements(mesh, surface, 2)
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 1)
+        with pytest.raises(IntegrationError) as streamed:
+            sq.integrate_surface(mesh, surface, lambda p: np.ones(p.shape[:-1]),
+                                 2, sq.builtin_rule(4))
+        for err in (whole, streamed):
+            [(face, sub)] = err.value.failures
+            assert face == 0 and isinstance(sub, OutsideTube)
+            assert "node 3" in str(sub)
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0),
                                          sq.ellipsoid(1.0, 1.0, 0.6)],

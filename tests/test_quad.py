@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import surfquad as sq
 from surfquad.curved import build_surface_elements
 from surfquad.errors import DegeneratePoint, IntegrationError, UnsupportedDegree
-from surfquad.quad import (MODE_EXACT, MODE_INTERP, _verify_rule,
-                           monomial_integral)
+from surfquad.quad import (MODE_EXACT, MODE_INTERP, _element_values,
+                           _streamed_values, _verify_rule, monomial_integral)
 from surfquad.quadrules import _gauss_01
 from surfquad.refmesh import FlatMesh
 
@@ -366,3 +367,56 @@ class TestIntegrateSurface:
                                  lambda p: np.ones(p.shape[:-1]), 1,
                                  sq.builtin_rule(4), mode="nope")
 
+
+
+class TestStreamedIntegration:
+    """Without a batch, integrate_surface builds, projects and integrates one
+    face block per task; every element value is that of one whole batch."""
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
+    @pytest.mark.parametrize("surface, kind, levels", [
+        (sq.torus(2.0, 1.0), "struct_torus", 1),
+        (sq.ellipsoid(1.0, 1.0, 0.6), "scaled_ellipsoid", 2)],
+        ids=["torus", "ellipsoid"])
+    def test_element_values_bitwise_across_blocks(self, surface, kind, levels,
+                                                  mode, monkeypatch):
+        mesh = sq.generate_base(surface, kind, 1)
+        for _ in range(levels):
+            mesh = sq.bisect(mesh)     # 128 faces
+        rule = sq.builtin_rule(12)
+        f = surface.gauss_curvature
+        for k in (1, 4):
+            whole, failures = _element_values(build_surface_elements(mesh, surface, k),
+                                              rule, mode, f, surface)
+            assert failures == []
+            # 19 blocks of 7 faces, the last of 2, and one block
+            for block in (7, 1 << 30):
+                monkeypatch.setattr(sq.curved, "_FACE_BLOCK", block)
+                for threads in (1, 2):
+                    got = _streamed_values(mesh, surface, f, k, rule, mode, threads)
+                    assert got.tobytes() == whole.tobytes(), (k, block, threads)
+                    total = sq.integrate_surface(mesh, surface, f, k, rule, mode=mode,
+                                                 threads=threads)
+                    assert total.value == math.fsum(whole.tolist())
+                    assert total.n_elements == mesh.n_faces
+
+    def test_peak_memory_flat_in_level(self, torus21):
+        # A repeated call finds the mesh's edge table kept, so its peak is
+        # that of one 2,048-face block and the (F,) element values: 2.9 MB at
+        # level 3 (4 blocks) and 3.1 MB at level 4 (16 blocks).  A whole
+        # batch peaks at 5.4 and 18.6 MB.
+        rule = sq.builtin_rule(12)
+        mesh = sq.generate_base(torus21, "struct_torus", 2)
+        for _ in range(3):
+            mesh = sq.bisect(mesh)
+        peaks = []
+        for _ in range(2):
+            sq.integrate_surface(mesh, torus21, torus21.gauss_curvature, 4, rule)
+            tracemalloc.start()
+            try:
+                sq.integrate_surface(mesh, torus21, torus21.gauss_curvature, 4, rule)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            mesh = sq.bisect(mesh)
+        assert peaks[1] < 1.25 * peaks[0]
