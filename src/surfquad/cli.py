@@ -155,8 +155,9 @@ def _write_curved_nodes(mesh, surface, k, path) -> None:
                            for x, y, z in batch.unique_nodes.tolist()]
             for lo, block in row_blocks(batch.node_index, faces_per_write):
                 first = faces.start + lo
+                names = map(str, range(first, first + len(block)))
                 fh.write("".join([f"{face}{node_cols[ni]}{coord_lines[u]}"
-                                  for face, slots in enumerate(block.tolist(), first)
+                                  for face, slots in zip(names, block.tolist())
                                   for ni, u in enumerate(slots)]))
     if failed:
         raise merged_failures(failed) from failed[0]

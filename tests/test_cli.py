@@ -246,7 +246,7 @@ class TestFaceBlocks:
         "--levels 1 --k-max 6"], ids=["torus", "ellipsoid", "runge"])
     def test_report_bytes_across_blocks(self, tmp_path, monkeypatch, command):
         outputs = []
-        # blocks of 7 faces: 5 to 74 blocks per level, the last one short
+        # blocks of 7 faces: 2 to 74 blocks per level, the last one short
         for block in (1 << 30, 7):
             monkeypatch.setattr(sq.curved, "_FACE_BLOCK", block)
             for threads in (1, 2):
@@ -257,7 +257,7 @@ class TestFaceBlocks:
 
     def test_curved_nodes_bytes_across_blocks(self, tmp_path, monkeypatch):
         # 32 faces in blocks of 5; at k=10 each block's 330 rows are written
-        # in five blocks of about 70 lines
+        # in five blocks of one face (66 lines)
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 5)
         monkeypatch.setattr(sq.cli, "_CSV_LINES", 70)
         for k in (1, 3, 10):
