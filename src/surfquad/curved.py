@@ -226,10 +226,8 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     flat_nodes[:edge_base] = verts[used]
     steps = np.arange(1, k) / k
     for lo, hi in _blocks(len(edge_ids), k - 1):
-        ends = edges[edge_ids[lo:hi]]
-        va, vb = verts[ends[:, 0]][:, None], verts[ends[:, 1]][:, None]
         flat_nodes[edge_base + lo * (k - 1):edge_base + hi * (k - 1)] = (
-            va + (vb - va) * steps[:, None]).reshape(-1, 3)
+            _edge_nodes(verts, edges[edge_ids[lo:hi]], steps))
     for lo, hi in _blocks(len(block_faces), basis.count):
         f = block_faces[lo:hi]
         forward = f[:, s] < f[:, (s + 1) % 3]
@@ -251,6 +249,13 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
             _locate_failures(node_index, exc, first, ids)) from exc
     return ElementBatch(degree=degree, basis=basis, mesh=block,
                         node_index=node_index, unique_nodes=flat_nodes)
+
+
+def _edge_nodes(verts: np.ndarray, ends: np.ndarray, steps: np.ndarray):
+    """The flat nodes at fractions ``steps`` along each (E', 2) edge from its
+    first (smaller) vertex, edge by edge: (E' * len(steps), 3)."""
+    va, vb = verts[ends[:, 0]][:, None], verts[ends[:, 1]][:, None]
+    return (va + (vb - va) * steps[:, None]).reshape(-1, 3)
 
 
 def face_blocks(n_faces: int) -> list[slice]:

@@ -264,7 +264,7 @@ class TestBuildBlocks:
 
     def test_peak_memory_bounded_by_kept_arrays(self, torus21):
         # the flat nodes, projected in place, and project_many's three (n,)
-        # outputs are the only full-size arrays: 2.38x the kept arrays here
+        # outputs are the only full-size arrays: 2.34x the kept arrays here
         # with an int32 node table (2.1x with int64), 3.1x with a separate
         # projection output, 3.9x before the fill was blocked
         mesh = sq.generate_base(torus21, "struct_torus", 2)
