@@ -12,7 +12,9 @@ import argparse
 import os
 import sys
 
-from . import study
+import numpy as np
+
+from . import study, text
 from .curved import build_surface_elements, face_blocks, merged_failures
 from .errors import IntegrationError, SurfquadError
 from .interp import cheb_lebesgue, lagrange_basis, lebesgue_formula
@@ -137,11 +139,11 @@ def _write_curved_nodes(mesh, surface, k, path) -> None:
     and written a face block at a time.  Projection failures of all blocks
     are raised together; the file then ends before the first failing block."""
     count = lagrange_basis(k).count
-    node_cols = [f",{ni}," for ni in range(count)]
+    node_cols = text.concat(text.literal(","), text.ints(range(count)), text.literal(","))
     faces_per_write = max(1, _CSV_LINES // count)
     failed = []
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("face,node,x,y,z\n")
+    with open(path, "wb") as fh:
+        fh.write(b"face,node,x,y,z\n")
         for faces in face_blocks(mesh.n_faces):
             try:
                 batch = build_surface_elements(mesh, surface, k, faces)
@@ -151,14 +153,11 @@ def _write_curved_nodes(mesh, surface, k, path) -> None:
                 continue
             # each node of the block is formatted once; a node shared with
             # another block is formatted in each
-            coord_lines = [f"{x!r},{y!r},{z!r}\n"
-                           for x, y, z in batch.unique_nodes.tolist()]
+            coords = text.line(text.floats(batch.unique_nodes), ",")
             for lo, block in row_blocks(batch.node_index, faces_per_write):
                 first = faces.start + lo
-                names = map(str, range(first, first + len(block)))
-                fh.write("".join([f"{face}{node_cols[ni]}{coord_lines[u]}"
-                                  for face, slots in zip(names, block.tolist())
-                                  for ni, u in enumerate(slots)]))
+                face = text.ints(np.arange(first, first + len(block))[:, None])
+                fh.write(bytes(text.concat(face, node_cols, coords[block])))
     if failed:
         raise merged_failures(failed) from failed[0]
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import text
 from .errors import NonTriangleFace, ParseError, TopologyMismatch
 from .surfaces import ImplicitSurface, project_many
 
@@ -342,16 +344,19 @@ def row_blocks(table: np.ndarray, rows: Optional[int] = None):
 
 def write_off(mesh: FlatMesh, path) -> None:
     """ASCII OFF with shortest round-trip float formatting."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
+    with open(path, "wb") as fh:
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n".encode("ascii"))
         for _, block in row_blocks(mesh.vertices):
-            fh.write("".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in block.tolist()]))
+            fh.write(bytes(text.line(text.floats(block), " ")))
         for _, block in row_blocks(mesh.faces):
-            fh.write("".join([f"3 {a} {b} {c}\n" for a, b, c in block.tolist()]))
+            fh.write(bytes(text.line(text.ints(np.insert(block, 0, 3, axis=1)), " ")))
 
 
 def read_off(path) -> FlatMesh:
-    """Parse an ASCII OFF triangle mesh; raises ParseError/NonTriangleFace."""
+    """Parse an ASCII OFF triangle mesh; raises ParseError/NonTriangleFace.
+
+    Each block is converted by one ``np.loadtxt``; its lines are walked one
+    at a time only when that fails or a face is bad, to name the line."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
 
@@ -372,6 +377,36 @@ def read_off(path) -> FlatMesh:
     if len(raw) < 2 + nv + nf:
         raise ParseError(len(raw) + 1, "truncated file")
 
+    verts = _parse_block(raw[2:2 + nv], float, 3)
+    if verts is None:
+        verts = _vertex_lines(raw, nv)
+    faces = _parse_block(raw[2 + nv:2 + nv + nf], np.int64, 4)
+    if (faces is None or np.any(faces[:, 0] != 3) or np.any(faces[:, 1:] < 0)
+            or np.any(faces[:, 1:] >= nv)):
+        faces = _face_lines(raw, nv, nf)
+    else:
+        faces = faces[:, 1:]
+    return FlatMesh(verts, faces, level=0)
+
+
+def _parse_block(lines, dtype, columns) -> Optional[np.ndarray]:
+    """The whitespace-separated values of ``lines`` as a (len(lines),
+    columns) array, or None if any line does not parse to that many."""
+    if not lines:
+        return np.empty((0, columns), dtype=dtype)
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads '1.0' as an integer with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            block = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return block if block.shape == (len(lines), columns) else None
+
+
+def _vertex_lines(raw, nv) -> np.ndarray:
+    """The vertex block parsed line by line; raises ParseError at the first
+    line that is not three floats."""
     verts = np.empty((nv, 3))
     for i in range(nv):
         line_no = 3 + i
@@ -382,7 +417,13 @@ def read_off(path) -> FlatMesh:
             verts[i] = [float(p) for p in parts]
         except ValueError:
             raise ParseError(line_no, f"bad float in {raw[2 + i]!r}") from None
+    return verts
 
+
+def _face_lines(raw, nv, nf) -> np.ndarray:
+    """The face block parsed line by line; raises ParseError or
+    NonTriangleFace at the first line that is not '3 i j k' with indices in
+    range."""
     faces = np.empty((nf, 3), dtype=np.int64)
     for i in range(nf):
         line_no = 3 + nv + i
@@ -400,5 +441,4 @@ def read_off(path) -> FlatMesh:
         if any(s < 0 or s >= nv for s in sizes[1:]):
             raise ParseError(line_no, "vertex index out of range")
         faces[i] = sizes[1:]
-
-    return FlatMesh(verts, faces, level=0)
+    return faces

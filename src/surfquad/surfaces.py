@@ -328,8 +328,9 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     all the same.  After a raise its blocks hold a mix of projected and
     original points.
 
-    The points are projected in blocks of ``_BLOCK`` into outputs allocated
-    once, so the iteration's temporaries do not grow with the batch.  Every
+    The points are projected in ``ceil(n / _BLOCK)`` blocks of nearly equal
+    size, so that no block is a short remainder, into outputs allocated once,
+    so the iteration's temporaries do not grow with the batch.  Every
     operation on a point is elementwise: its bits do not depend on its block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -347,8 +348,10 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     resid = np.empty(n)
     unconverged = np.zeros(n, dtype=bool)
     outside, outside_indices = None, []
-    for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    n_blocks = -(-n // _BLOCK)
+    for b in range(n_blocks):
+        lo = n * b // n_blocks
+        block = slice(lo, n * (b + 1) // n_blocks)
         try:
             if surface.analytic_project is not None:
                 proj = surface.analytic_project(pts[block])

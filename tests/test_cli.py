@@ -100,6 +100,10 @@ class TestMeshCommand:
         assert len({row.split(",", 2)[2] for row in rows}) < len(rows)
         assert csv.read_text() == "face,node,x,y,z\n" + "\n".join(rows) + "\n"
 
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_curved_nodes_bytes_at_degree(self, tmp_path, k):
+        self.test_curved_nodes_bytes(tmp_path, k)
+
     def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch):
         # 32 faces, one face range, written in blocks of about 50 lines: five
         # faces of 10 rows at k=3, and one face of 66 rows at k=10.  At k=3

@@ -406,6 +406,30 @@ class TestOffIO:
         assert blocked.read_text() == ("OFF\n3 1 0\n0.0 0.0 0.0\n2.1 0.3 0.0\n"
                                        "0.7 1.9 0.4\n3 0 1 2\n")
 
+    def test_bytes_equal_repr(self, flat_ellipsoid, tmp_path):
+        # negative coordinates, exact zeros and every digit count
+        m = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 2))
+        path = tmp_path / "mesh.off"
+        sq.write_off(m, path)
+        lines = [f"{x!r} {y!r} {z!r}" for x, y, z in m.vertices.tolist()]
+        lines += [f"3 {a} {b} {c}" for a, b, c in m.faces.tolist()]
+        assert path.read_text() == (f"OFF\n{m.n_vertices} {m.n_faces} 0\n"
+                                    + "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("body, line", [
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1.0 2\n", 6),     # float face index
+        ("0 0 0\n\n0 1 0\n3 0 1 2\n", 4),            # blank vertex line
+        ("0 0 0\n1 0 0 0\n0 1 0\n3 0 1 2\n", 4),     # four coordinates
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1 2 3\n", 6),     # four indices
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 -1 2\n", 6),      # negative index
+    ])
+    def test_bad_line_named(self, tmp_path, body, line):
+        path = tmp_path / "bad.off"
+        path.write_text("OFF\n3 1 0\n" + body)
+        with pytest.raises(ParseError) as err:
+            sq.read_off(path)
+        assert err.value.line == line
+
     def test_quad_face_rejected(self, tmp_path):
         path = tmp_path / "quad.off"
         path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
