@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 numerical failure (projection or Jacobian trouble,
 diagnostic on stderr with the offending face/node), 2 usage error.  Output is
 CSV with shortest round-trip float formatting; identical configurations
-produce byte-identical files regardless of --threads.
+produce byte-identical files regardless of --threads.  The bulk text, the
+curved-node CSV and the OFF file, is built in numpy by ``text``, whose floats
+equal ``repr`` byte for byte.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def _write_curved_nodes(mesh, surface, k, path) -> None:
             for lo, block in row_blocks(batch.node_index, faces_per_write):
                 first = faces.start + lo
                 face = text.ints(np.arange(first, first + len(block))[:, None])
-                fh.write(bytes(text.concat(face, node_cols, coords[block])))
+                fh.write(text.packed(text.concat(face, node_cols, coords[block])))
     if failed:
         raise merged_failures(failed) from failed[0]
 

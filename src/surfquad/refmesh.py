@@ -6,6 +6,9 @@ vertices parametrize the macro triangles and keep the point-symmetric child
 pairs that ``symmetry_census`` counts.  ``project_vertices`` re-projects every
 vertex instead; that removes the pairs (census 0) but not the even-degree
 gain, so the gain does not rest on exact pairs.
+
+``write_off`` writes each coordinate as its ``repr``, formatted in numpy by
+``text.floats``; ``read_off`` converts each block with one ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -343,13 +346,14 @@ def row_blocks(table: np.ndarray, rows: Optional[int] = None):
 
 
 def write_off(mesh: FlatMesh, path) -> None:
-    """ASCII OFF with shortest round-trip float formatting."""
+    """ASCII OFF with shortest round-trip float formatting, a block of
+    ``_WRITE_BLOCK`` lines at a time."""
     with open(path, "wb") as fh:
         fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n".encode("ascii"))
         for _, block in row_blocks(mesh.vertices):
-            fh.write(bytes(text.line(text.floats(block), " ")))
+            fh.write(text.packed(text.line(text.floats(block), " ")))
         for _, block in row_blocks(mesh.faces):
-            fh.write(bytes(text.line(text.ints(np.insert(block, 0, 3, axis=1)), " ")))
+            fh.write(text.packed(text.line(text.ints(np.insert(block, 0, 3, axis=1)), " ")))
 
 
 def read_off(path) -> FlatMesh:

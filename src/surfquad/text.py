@@ -1,21 +1,21 @@
 """Export text built in numpy: ``repr`` of float64 arrays, decimal integers,
 and lines laid out from them.
 
-A ``Text`` keeps each value's bytes on the last axis of ``chars`` where
-``mask`` is set; ``bytes(text)`` is the masked bytes in C order, so a
-(lines, width) text reads line by line.  ``floats`` gives the bytes of
-``repr(float(x))`` for every value: the shortest decimal that reads back as
-``x``, the nearest such decimal when several have that length, ties to an
-even last digit, in Python's ``'r'`` layout.  The digits come from Schubfach
-(R. Giulietti, "The Schubfach way to render doubles", 2020) on ``uint64``
-arrays, with the 64 x 64 -> 128-bit products taken from 32-bit limbs.
-Zeros, subnormals and non-finite values take ``repr`` one at a time.
+Text is held in fixed-width cells: a uint8 array whose last axis is the cell,
+padded with NUL bytes where a value is shorter than its cell.  ``packed``
+drops the padding and gives the bytes in C order, so (lines, width) cells
+read line by line.  ``floats`` gives the bytes of ``repr(float(x))`` for
+every value: the shortest decimal that reads back as ``x``, the nearest such
+decimal when several have that length, ties to an even last digit, in
+Python's ``'r'`` layout.  The digits come from Schubfach (R. Giulietti, "The
+Schubfach way to render doubles", 2020) on ``uint64`` arrays, with the
+64 x 64 -> 128-bit products taken from 32-bit limbs.  Zeros, subnormals and
+non-finite values take ``repr`` one at a time.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,75 +36,54 @@ _POW10 = 10 ** np.arange(19, dtype=np.uint64)
 _DOT, _ZERO, _E, _MINUS, _PLUS = b".0e-+"
 
 
-class Text(NamedTuple):
-    """ASCII text in fixed-width cells: ``chars`` and ``mask`` are uint8 and
-    bool arrays of one shape, whose last axis is the cell."""
-
-    chars: np.ndarray
-    mask: np.ndarray
-
-    def __getitem__(self, index) -> "Text":
-        """The cells at ``index`` of the leading axes."""
-        return Text(self.chars[index], self.mask[index])
-
-    def __bytes__(self) -> bytes:
-        return self.chars[self.mask].tobytes()
+def packed(cells: np.ndarray) -> np.ndarray:
+    """The bytes of ``cells`` without their padding, in C order: a 1-D uint8
+    array, which a binary file's ``write`` takes as it is."""
+    return cells[cells != 0]
 
 
-def literal(string: str) -> Text:
+def literal(string: str) -> np.ndarray:
     """One cell holding ``string``."""
-    chars = np.frombuffer(string.encode("ascii"), dtype=np.uint8)
-    return Text(chars, np.ones(chars.shape, dtype=bool))
+    return np.frombuffer(string.encode("ascii"), dtype=np.uint8)
 
 
-def concat(*parts: Text) -> Text:
+def concat(*parts: np.ndarray) -> np.ndarray:
     """The parts' cells side by side, their leading axes broadcast."""
-    lead = np.broadcast_shapes(*(p.chars.shape[:-1] for p in parts))
-
-    def joined(arrays):
-        return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:])
-                               for a in arrays], axis=-1)
-
-    return Text(joined([p.chars for p in parts]), joined([p.mask for p in parts]))
+    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    return np.concatenate([np.broadcast_to(p, lead + p.shape[-1:]) for p in parts],
+                          axis=-1)
 
 
-def line(fields: Text, sep: str) -> Text:
+def line(fields: np.ndarray, sep: str) -> np.ndarray:
     """The cells along the second-to-last axis joined by ``sep`` and ended by
     a newline: (..., m, w) cells give (..., m * (w + 1))."""
-    m = fields.chars.shape[-2]
-    ends = np.frombuffer((sep * (m - 1) + "\n").encode("ascii"), dtype=np.uint8)
-    joined = concat(fields, Text(ends[:, None], np.ones((m, 1), dtype=bool)))
-    lead = joined.chars.shape[:-2]
-    return Text(joined.chars.reshape(lead + (-1,)), joined.mask.reshape(lead + (-1,)))
+    m = fields.shape[-2]
+    joined = concat(fields, literal(sep * (m - 1) + "\n")[:, None])
+    return joined.reshape(joined.shape[:-2] + (-1,))
 
 
-def ints(values) -> Text:
+def ints(values) -> np.ndarray:
     """Decimal text of non-negative integers, right-aligned in the width of
     the largest."""
-    v = np.asarray(values, dtype=np.int64)
+    v = np.asarray(values, dtype=np.int64)[..., None]
     width = len(str(int(v.max(initial=0))))
-    place = np.array([10**i for i in range(width - 1, -1, -1)], dtype=np.int64)
-    chars = (v[..., None] // place % 10 + ord("0")).astype(np.uint8)
-    mask = v[..., None] >= place
-    mask[..., -1] = True
-    return Text(chars, mask)
+    place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = (v // place % 10 + ord("0")).astype(np.uint8)
+    return digits * ((v >= place) | (place == 1))
 
 
-def floats(values) -> Text:
+def floats(values) -> np.ndarray:
     """``repr(float(x))`` for every value of a float array, one cell each."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     flat = x.reshape(-1)
     chars = np.empty((flat.size, _WIDTH), dtype=np.uint8)
-    mask = np.empty((flat.size, _WIDTH), dtype=bool)
     width = 1
     for lo in range(0, flat.size, _BLOCK):
-        width = max(width, _format_block(flat[lo:lo + _BLOCK], chars[lo:lo + _BLOCK],
-                                         mask[lo:lo + _BLOCK]))
-    return Text(chars[:, :width].reshape(x.shape + (width,)),
-                mask[:, :width].reshape(x.shape + (width,)))
+        width = max(width, _format_block(flat[lo:lo + _BLOCK], chars[lo:lo + _BLOCK]))
+    return chars[:, :width].reshape(x.shape + (width,))
 
 
-def _format_block(x, chars, mask) -> int:
+def _format_block(x, chars) -> int:
     """Write the cells of the values ``x``; returns their widest."""
     bits = x.view(np.uint64)
     biased = (bits >> np.uint64(52)) & np.uint64(0x7FF)
@@ -122,7 +101,7 @@ def _format_block(x, chars, mask) -> int:
         chars[i, 1:1 + len(body)] = np.frombuffer(body, dtype=np.uint8)
         start[i], stop[i] = len(body) - len(text) + 1, 1 + len(body)
     column = np.arange(_WIDTH, dtype=np.int8)
-    np.logical_and(column >= start[:, None], column < stop[:, None], out=mask)
+    chars *= (column >= start[:, None]) & (column < stop[:, None])
     return int(stop.max())
 
 

@@ -13,7 +13,7 @@ def reprs(values) -> str:
 
 def kernel(values) -> str:
     cells = text.floats(np.ravel(values))
-    return bytes(text.line(cells[:, None], ",")).decode("ascii")
+    return text.packed(text.line(cells[:, None], ",")).tobytes().decode("ascii")
 
 
 def with_neighbours(values):
@@ -64,8 +64,8 @@ class TestFloats:
         values[3, 1] = 0.0
         whole = text.floats(values)
         monkeypatch.setattr(text, "_BLOCK", 4)
-        assert bytes(text.floats(values)) == bytes(whole)
-        assert bytes(text.line(whole, " ")) == "".join(
+        assert np.array_equal(text.floats(values), whole)
+        assert text.packed(text.line(whole, " ")).tobytes() == "".join(
             f"{x!r} {y!r} {z!r}\n" for x, y, z in values.tolist()).encode()
 
 
@@ -98,5 +98,5 @@ class TestInts:
                                         [2**31 - 1, 5]])
     def test_equals_str(self, values):
         cells = text.ints(values)
-        assert bytes(text.line(cells[:, None], ",")).decode() == "".join(
+        assert text.packed(text.line(cells[:, None], ",")).tobytes().decode() == "".join(
             f"{v}\n" for v in values)
