@@ -55,8 +55,8 @@ def concat(*parts: np.ndarray) -> np.ndarray:
 
 
 def line(fields: np.ndarray, sep: str) -> np.ndarray:
-    """The cells along the second-to-last axis joined by ``sep`` and ended by
-    a newline: (..., m, w) cells give (..., m * (w + 1))."""
+    """The cells along the second-to-last axis joined by the character
+    ``sep`` and ended by a newline: (..., m, w) cells give (..., m * (w + 1))."""
     m = fields.shape[-2]
     joined = concat(fields, literal(sep * (m - 1) + "\n")[:, None])
     return joined.reshape(joined.shape[:-2] + (-1,))
