@@ -15,8 +15,7 @@ from .errors import (DegenerateJacobian, DegeneratePoint, DimensionMismatch,
                      StagnationWarning, SurfquadError, TopologyMismatch,
                      UnsupportedDegree)
 from .interp import (ChebGrid, LagrangeBasis, ReferenceNodeSet, cheb_grid,
-                     cheb_lebesgue, equidistant_lebesgue, eval_basis,
-                     eval_basis_grad, interp_gradient_defect, interpolate,
+                     cheb_lebesgue, equidistant_lebesgue, interp_gradient_defect,
                      lagrange_basis, lebesgue_formula, reference_nodes)
 from .quad import (MODE_EXACT, MODE_INTERP, IntegralResult, QuadratureRule,
                    builtin_rule, integrate_element, integrate_surface,

@@ -5,7 +5,7 @@ diagnostic on stderr with the offending face/node), 2 usage error.  Output is
 CSV with shortest round-trip float formatting; identical configurations
 produce byte-identical files regardless of --threads.  The bulk text, the
 curved-node CSV and the OFF file, is built in numpy by ``text``, whose floats
-equal ``repr`` byte for byte.
+equal ``repr`` byte for byte, written at most ``blocks.BLOCK`` lines at a time.
 """
 
 from __future__ import annotations
@@ -16,24 +16,21 @@ import sys
 
 import numpy as np
 
-from . import study, text
+from . import blocks, study, text
 from .curved import build_surface_elements, face_blocks, merged_failures
 from .errors import IntegrationError, SurfquadError
 from .interp import cheb_lebesgue, lagrange_basis, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
-from .refmesh import bisect, generate_base, mesh_size, row_blocks, write_off
+from .refmesh import bisect, generate_base, mesh_size, write_off
 from .surfaces import parse_surface
 
 _MODES = {"exact": MODE_EXACT, "interp": MODE_INTERP}
 
-# about this many CSV lines per `mesh --curved-nodes` write block, whatever k
-_CSV_LINES = 16384
-
 
 def _ranged_int(name, lo, hi):
-    def parse(text):
+    def parse(arg):
         try:
-            value = int(text)
+            value = int(arg)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be an integer") from None
         if not lo <= value <= hi:
@@ -114,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(content: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(content)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(content)
 
 
 def _surface_or_usage(parser, spec):
@@ -138,11 +135,11 @@ def _refined_mesh(surface, args):
 
 def _write_curved_nodes(mesh, surface, k, path) -> None:
     """The projected nodes of every face as CSV rows face,node,x,y,z, built
-    and written a face block at a time.  Projection failures of all blocks
-    are raised together; the file then ends before the first failing block."""
+    a face block at a time and written at most ``blocks.BLOCK`` lines (whole
+    faces) at a time.  Projection failures of all blocks are raised together;
+    the file then ends before the first failing block."""
     count = lagrange_basis(k).count
     node_cols = text.concat(text.literal(","), text.ints(range(count)), text.literal(","))
-    faces_per_write = max(1, _CSV_LINES // count)
     failed = []
     with open(path, "wb") as fh:
         fh.write(b"face,node,x,y,z\n")
@@ -156,10 +153,11 @@ def _write_curved_nodes(mesh, surface, k, path) -> None:
             # each node of the block is formatted once; a node shared with
             # another block is formatted in each
             coords = text.line(text.floats(batch.unique_nodes), ",")
-            for lo, block in row_blocks(batch.node_index, faces_per_write):
-                first = faces.start + lo
-                face = text.ints(np.arange(first, first + len(block))[:, None])
-                fh.write(text.packed(text.concat(face, node_cols, coords[block])))
+            for rows in blocks.blocks(batch.n_elements, blocks.BLOCK // count):
+                face = text.ints(np.arange(faces.start + rows.start,
+                                           faces.start + rows.stop)[:, None])
+                fh.write(text.packed(text.concat(face, node_cols,
+                                                 coords[batch.node_index[rows]])))
     if failed:
         raise merged_failures(failed) from failed[0]
 
@@ -185,9 +183,9 @@ def run(args, parser) -> int:
         f = study.integrand_for(surface, args.f)
         result = integrate_surface(mesh, surface, f, args.k, rule,
                                    mode=_MODES[args.mode], threads=args.threads)
-        text = ("value,n_elements,h\n"
-                f"{result.value!r},{result.n_elements},{mesh_size(mesh)!r}\n")
-        _emit(text, args.out)
+        table = ("value,n_elements,h\n"
+                 f"{result.value!r},{result.n_elements},{mesh_size(mesh)!r}\n")
+        _emit(table, args.out)
         return 0
 
     if args.command == "converge":
@@ -197,9 +195,8 @@ def run(args, parser) -> int:
                                        mode=_MODES[args.mode], rule=rule,
                                        threads=args.threads,
                                        reproject_vertices=args.project_vertices)
-        text = (study.convergence_csv(report) if args.format == "csv"
-                else study.convergence_json(report))
-        _emit(text, args.out)
+        _emit(study.convergence_csv(report) if args.format == "csv"
+              else study.convergence_json(report), args.out)
         return 0
 
     if args.command == "runge-study":
@@ -210,9 +207,8 @@ def run(args, parser) -> int:
         report = study.run_runge(surface, mesh, range(args.k_min, args.k_max + 1),
                                  args.f, mode=_MODES[args.mode], rule=rule,
                                  threads=args.threads)
-        text = (study.runge_csv(report) if args.format == "csv"
-                else study.runge_json(report))
-        _emit(text, args.out)
+        _emit(study.runge_csv(report) if args.format == "csv"
+              else study.runge_json(report), args.out)
         return 0
 
     if args.command == "lebesgue":

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import blocks
 from .errors import DegenerateJacobian, IntegrationError, NoConvergence, OutsideTube
 from .interp import LagrangeBasis, lagrange_basis
 from .refmesh import FlatMesh, edge_table, mesh_size
@@ -52,21 +53,11 @@ def affine_chart_points(flat_tri: np.ndarray, ref_pts: np.ndarray) -> np.ndarray
     return q1 + (q3 - q1) * s + (q2 - q1) * t
 
 
-# nodes per block when the flat nodes and node table of a mesh are filled
-_FILL_BLOCK = 8192
-
-# faces per block when a mesh's curved elements are built, projected and
-# integrated or written one block at a time
+# at most this many faces per block when a mesh's curved elements are built,
+# projected and integrated or written one block at a time
 _FACE_BLOCK = 2048
 
 _CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-
-
-def _basis_tables(basis: LagrangeBasis, ref_pts) -> tuple:
-    """Basis values L (q, N) at (q, 2) reference points and the stacked
-    derivative table D = [d/ds; d/dt]^T, (N, 2q) and contiguous."""
-    ds, dt = basis.eval_grad(ref_pts)
-    return basis.eval(ref_pts), np.ascontiguousarray(np.concatenate([ds, dt]).T)
 
 
 def _chart_points(tables: tuple, nodes: np.ndarray) -> np.ndarray:
@@ -110,7 +101,7 @@ def build_element(surface: ImplicitSurface, flat_tri, degree: int,
     if basis is not None and basis is not lagrange_basis(degree):
         raise ValueError(f"basis must be lagrange_basis({degree})")
     batch = build_surface_elements(FlatMesh(flat_tri, [[0, 1, 2]]), surface, degree)
-    if _folded_charts(surface, _basis_tables(batch.basis, _CENTROID),
+    if _folded_charts(surface, batch.basis.tables(_CENTROID),
                       batch.element_nodes(), flat_tri[None])[0]:
         raise DegenerateJacobian(
             "curved chart is not orientation-preserving; mesh too coarse")
@@ -122,7 +113,7 @@ def chart_eval(elem: CurvedElement, ref_pt) -> MetricSample:
     ref_pt = np.asarray(ref_pt, dtype=float)
     if ref_pt.shape != (2,):
         raise ValueError(f"expected one (2,) reference point, got {ref_pt.shape}")
-    tables = _basis_tables(elem.basis, ref_pt[None])
+    tables = elem.basis.tables(ref_pt[None])
     nodes = elem.projected_nodes[None]
     js, jt, det = _chart_metric(tables, nodes)
     det = float(det[0, 0])
@@ -216,20 +207,23 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     s, t = side[along], step[along]
     n_inner = int(inner.sum())
 
-    # The node table and the flat nodes are filled a bounded block of edges
-    # or faces at a time, so no temporary grows with the range; every node is
-    # computed elementwise, so its bits do not depend on its block or range.
+    # The node table and the flat nodes are filled a block of edges or faces
+    # of about ``blocks.BLOCK`` nodes at a time, so no temporary grows with
+    # the range; every node is computed elementwise, so its bits do not depend
+    # on its block or range.
     n_nodes = face_base + len(block_faces) * n_inner
     node_index = np.empty((len(block_faces), basis.count),
                           dtype=np.int32 if n_nodes < 2**31 else np.int64)
     flat_nodes = np.empty((n_nodes, 3))
     flat_nodes[:edge_base] = verts[used]
     steps = np.arange(1, k) / k
-    for lo, hi in _blocks(len(edge_ids), k - 1):
+    for rows in blocks.blocks(len(edge_ids), blocks.BLOCK // max(1, k - 1)):
+        lo, hi = rows.start, rows.stop
         flat_nodes[edge_base + lo * (k - 1):edge_base + hi * (k - 1)] = (
-            _edge_nodes(verts, edges[edge_ids[lo:hi]], steps))
-    for lo, hi in _blocks(len(block_faces), basis.count):
-        f = block_faces[lo:hi]
+            _edge_nodes(verts, edges[edge_ids[rows]], steps))
+    for rows in blocks.blocks(len(block_faces), blocks.BLOCK // basis.count):
+        lo, hi = rows.start, rows.stop
+        f = block_faces[rows]
         forward = f[:, s] < f[:, (s + 1) % 3]
         node_index[lo:hi, corner] = vertex_id[lo:hi][:, side[corner]]
         node_index[lo:hi, along] = (edge_base + edge_id[lo:hi, s] * (k - 1)
@@ -259,17 +253,9 @@ def _edge_nodes(verts: np.ndarray, ends: np.ndarray, steps: np.ndarray):
 
 
 def face_blocks(n_faces: int) -> list[slice]:
-    """Successive ranges of ``_FACE_BLOCK`` faces that cover ``n_faces``."""
-    return [slice(lo, min(lo + _FACE_BLOCK, n_faces))
-            for lo in range(0, n_faces, _FACE_BLOCK)]
-
-
-def _blocks(n_rows: int, nodes_per_row: int):
-    """(lo, hi) bounds of successive row blocks of about ``_FILL_BLOCK``
-    nodes, for ``n_rows`` rows of ``nodes_per_row`` nodes each."""
-    size = max(1, _FILL_BLOCK // max(1, nodes_per_row))
-    for lo in range(0, n_rows, size):
-        yield lo, min(lo + size, n_rows)
+    """Successive ranges of at most ``_FACE_BLOCK`` faces that cover
+    ``n_faces``."""
+    return blocks.blocks(n_faces, _FACE_BLOCK)
 
 
 def _mesh_node_ids(mesh: FlatMesh, k: int, first: int, stop: int,

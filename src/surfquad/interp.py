@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blocks
 from .errors import DimensionMismatch, IllConditionedWarning
 
 EULER_GAMMA = 0.5772156649015329
@@ -97,12 +98,12 @@ class LagrangeBasis:
     def nodes(self) -> np.ndarray:
         return self.node_set.nodes
 
-    def _check_condition(self):
+    def _check_condition(self, stacklevel: int = 3):
         if self.condition > COND_LIMIT:
             warnings.warn(
                 f"degree-{self.degree} equidistant basis is ill-conditioned "
                 f"(cond ~ {self.condition:.2e})", IllConditionedWarning,
-                stacklevel=3)
+                stacklevel=stacklevel)
 
     def _table(self, pts, ds: int = 0, dt: int = 0) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -118,6 +119,16 @@ class LagrangeBasis:
         """(d/ds, d/dt) of every basis function at (..., 2) points."""
         self._check_condition()
         return self._table(pts, ds=1), self._table(pts, dt=1)
+
+    def tables(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """Basis values L (q, N) at (q, 2) reference points and the stacked
+        derivative table D = [d/ds; d/dt]^T, (N, 2q) and contiguous.  The
+        condition is checked once, and a warning names this method, not its
+        caller, so the default warning filter shows it once, whatever the
+        callers."""
+        self._check_condition(stacklevel=2)
+        ds, dt = self._table(pts, ds=1), self._table(pts, dt=1)
+        return self._table(pts), np.ascontiguousarray(np.concatenate([ds, dt]).T)
 
     def interpolate(self, nodal_values, pts) -> np.ndarray:
         """Evaluate the interpolant of (N, d) nodal data at (..., 2) points."""
@@ -137,21 +148,6 @@ def lagrange_basis(degree: int) -> LagrangeBasis:
     coeffs = np.linalg.solve(V, np.eye(len(V)))
     return LagrangeBasis(degree=degree, node_set=node_set, powers=powers,
                          coeffs=coeffs, condition=float(np.linalg.cond(V)))
-
-
-def eval_basis(basis: LagrangeBasis, point) -> np.ndarray:
-    """Basis value vector at a single reference point."""
-    return basis.eval(np.asarray(point, dtype=float)[None, :])[0]
-
-
-def eval_basis_grad(basis: LagrangeBasis, point) -> np.ndarray:
-    """(N, 2) array of basis partial derivatives at a single point."""
-    ds, dt = basis.eval_grad(np.asarray(point, dtype=float)[None, :])
-    return np.column_stack([ds[0], dt[0]])
-
-
-def interpolate(basis: LagrangeBasis, nodal_values, point) -> np.ndarray:
-    return basis.interpolate(nodal_values, np.asarray(point, dtype=float)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +241,11 @@ def cheb_grid(n: int) -> ChebGrid:
 def _lebesgue_max(nodes: np.ndarray, bary_w: np.ndarray,
                   sample: np.ndarray) -> float:
     """Max over the sample grid of sum_i |l_i(x)| in barycentric form."""
-    best, chunk = 1.0, 20000   # samples per block, to bound the temporaries
-    for lo in range(0, len(sample), chunk):
-        x = sample[lo:lo + chunk]
+    best = 1.0
+    # at most 20,000 samples per block, each n + 1 entries of every
+    # (samples, n + 1) temporary
+    for block in blocks.blocks(len(sample), 20000):
+        x = sample[block]
         diff = x[:, None] - nodes[None, :]
         hit = np.isclose(diff, 0.0, atol=1e-15)
         with np.errstate(divide="ignore", invalid="ignore"):

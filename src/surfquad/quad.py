@@ -11,8 +11,8 @@ numbering and thread count.
 ``integrate_surface`` streams a mesh: one pool of workers builds, projects
 and integrates one face block (``curved.face_blocks``) per task, so memory
 beyond the mesh is that of the blocks in flight, whatever the level.  A
-prebuilt whole batch is integrated in chunks, its nodal values taken a block
-of nodes at a time.
+prebuilt whole batch is integrated in chunks of at most ``_CHUNK`` elements,
+its nodal values taken at most ``blocks.BLOCK`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import quadrules
-from .curved import (_CENTROID, _FILL_BLOCK, CurvedElement, ElementBatch,
-                     _basis_tables, _chart_metric, _chart_points,
-                     _folded_charts, build_surface_elements, face_blocks,
-                     merged_failures)
+from . import blocks, quadrules
+from .curved import (_CENTROID, CurvedElement, ElementBatch, _chart_metric,
+                     _chart_points, _folded_charts, build_surface_elements,
+                     face_blocks, merged_failures)
 from .errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
                      UnsupportedDegree)
 from .interp import lagrange_basis
@@ -40,7 +39,7 @@ from .surfaces import ImplicitSurface
 MODE_EXACT = "exact_f"
 MODE_INTERP = "interp_f"
 
-# elements per vectorized block of the surface assembly
+# at most this many elements per vectorized chunk of the surface assembly
 _CHUNK = 512
 
 
@@ -100,14 +99,15 @@ def _check_mode(mode: str) -> None:
 
 
 def _nodal_values(mode: str, f: Callable, nodes: np.ndarray):
-    """f at the (n, 3) projected nodes in interp mode, ``_FILL_BLOCK`` nodes
-    at a time into one (n,) array; None in exact mode."""
+    """f at the (n, 3) projected nodes in interp mode, at most
+    ``blocks.BLOCK`` nodes at a time into one (n,) array; None in exact
+    mode."""
     _check_mode(mode)
     if mode == MODE_EXACT:
         return None
     values = np.empty(len(nodes))
-    for lo in range(0, len(nodes), _FILL_BLOCK):
-        values[lo:lo + _FILL_BLOCK] = f(nodes[lo:lo + _FILL_BLOCK])
+    for block in blocks.blocks(len(nodes)):
+        values[block] = f(nodes[block])
     return values
 
 
@@ -138,30 +138,29 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
     """Per-element integral values, vectorized over chunks of elements, and
     the (face, error) failures of the batch's elements in face order."""
     f_nodal_unique = _nodal_values(mode, f, batch.unique_nodes)
-    tables = _basis_tables(batch.basis, rule.points)
-    centroid_tables = _basis_tables(batch.basis, _CENTROID)
+    tables = batch.basis.tables(rule.points)
+    centroid_tables = batch.basis.tables(_CENTROID)
 
     out = np.empty(batch.n_elements)
     failures: list[tuple[int, Exception]] = []
 
-    def run_chunk(lo: int) -> None:
-        hi = min(lo + _CHUNK, batch.n_elements)
-        nodes = batch.element_nodes(slice(lo, hi))           # (C, N, 3)
+    def run_chunk(chunk: slice) -> None:
+        nodes = batch.element_nodes(chunk)                   # (C, N, 3)
         f_nodal = (None if f_nodal_unique is None
-                   else f_nodal_unique[batch.node_index[lo:hi]])
-        out[lo:hi], degenerate = _chart_integrals(tables, rule.weights, nodes,
+                   else f_nodal_unique[batch.node_index[chunk]])
+        out[chunk], degenerate = _chart_integrals(tables, rule.weights, nodes,
                                                   f, f_nodal)
-        tris = batch.mesh.vertices[batch.mesh.faces[lo:hi]]
+        tris = batch.mesh.vertices[batch.mesh.faces[chunk]]
         folded = _folded_charts(surface, centroid_tables, nodes, tris)
         for mask, error, why in (
                 (degenerate, DegenerateJacobian, "metric determinant <= 0"),
                 (folded, DegenerateJacobian, "chart folds against the normal"),
-                (~np.isfinite(out[lo:hi]), DegeneratePoint,
+                (~np.isfinite(out[chunk]), DegeneratePoint,
                  "element integral is not finite")):
-            failures.extend((lo + int(ci), error(why))
+            failures.extend((chunk.start + int(ci), error(why))
                             for ci in np.flatnonzero(mask))
 
-    _run(run_chunk, range(0, batch.n_elements, _CHUNK), threads)
+    _run(run_chunk, blocks.blocks(batch.n_elements, _CHUNK), threads)
     failures.sort(key=lambda t: t[0])
     return out, failures
 
@@ -173,9 +172,9 @@ def _streamed_values(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
     block built, projected and integrated by one task, so that only the
     blocks in flight hold nodes.  A node shared by two blocks is projected in
     each, with the same bits, so the values are those of one whole batch."""
-    lagrange_basis(k)     # any conditioning warning comes from this thread
-    blocks = face_blocks(mesh.n_faces)
-    if len(blocks) > 1:
+    lagrange_basis(k)     # cached once, before the tasks share it
+    ranges = face_blocks(mesh.n_faces)
+    if len(ranges) > 1:
         mesh.edges        # computed once, before the tasks share it
     out = np.empty(mesh.n_faces)
 
@@ -187,7 +186,7 @@ def _streamed_values(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
         out[faces], failures = _element_values(batch, rule, mode, f, surface)
         return None, [(faces.start + face, exc) for face, exc in failures]
 
-    results = _run(run_block, blocks, threads)
+    results = _run(run_block, ranges, threads)
     unprojected = [exc for exc, _ in results if exc is not None]
     if unprojected:
         raise merged_failures(unprojected) from unprojected[0]
@@ -210,7 +209,7 @@ def integrate_element(elem: CurvedElement, f: Callable, rule: QuadratureRule,
                       mode: str = MODE_EXACT) -> float:
     """Integral of f over a single curved element."""
     f_nodal = _nodal_values(mode, f, elem.projected_nodes)
-    value, degenerate = _chart_integrals(_basis_tables(elem.basis, rule.points),
+    value, degenerate = _chart_integrals(elem.basis.tables(rule.points),
                                          rule.weights, elem.projected_nodes[None], f,
                                          None if f_nodal is None else f_nodal[None])
     if degenerate[0]:
@@ -247,8 +246,7 @@ def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
 def _fsum(values: np.ndarray) -> float:
     """``math.fsum`` of an array, converted to floats a block at a time."""
     return math.fsum(itertools.chain.from_iterable(
-        values[lo:lo + _FILL_BLOCK].tolist()
-        for lo in range(0, len(values), _FILL_BLOCK)))
+        values[block].tolist() for block in blocks.blocks(len(values))))
 
 
 def constant_one(pts: np.ndarray) -> np.ndarray:

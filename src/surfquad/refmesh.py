@@ -8,7 +8,8 @@ vertex instead; that removes the pairs (census 0) but not the even-degree
 gain, so the gain does not rest on exact pairs.
 
 ``write_off`` writes each coordinate as its ``repr``, formatted in numpy by
-``text.floats``; ``read_off`` converts each block with one ``np.loadtxt``.
+``text.floats``, at most ``blocks.BLOCK`` lines at a time; ``read_off``
+converts each block with one ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import text
+from . import blocks, text
 from .errors import NonTriangleFace, ParseError, TopologyMismatch
 from .surfaces import ImplicitSurface, project_many
 
@@ -304,16 +305,19 @@ def symmetry_census(mesh: FlatMesh) -> MeshStats:
         return np.linalg.norm(x + y, axis=1) <= tol
 
     # Candidates (corner of fi, fj) from the corner pairs (k, k + d) of each
-    # fan, tested for d = 1, 2, ... one offset at a time.
+    # fan, tested for d = 1, 2, ... one offset at a time, a block of pairs at
+    # a time.
     pair_corner = [np.empty(0, dtype=np.int64)]
     pair_face = [np.empty(0, dtype=np.int64)]
     d = 1
-    while (k := np.flatnonzero(vertex[:-d] == vertex[d:])).size:
-        m = k + d
-        hit = ((cancel(a[k], a[m]) & cancel(b[k], b[m]))
-               | (cancel(a[k], b[m]) & cancel(b[k], a[m])))
-        pair_corner.append(corner[k[hit]])
-        pair_face.append(corner[m[hit]] // 3)
+    while (pairs := np.flatnonzero(vertex[:-d] == vertex[d:])).size:
+        for block in blocks.blocks(pairs.size):
+            k = pairs[block]
+            m = k + d
+            hit = ((cancel(a[k], a[m]) & cancel(b[k], b[m]))
+                   | (cancel(a[k], b[m]) & cancel(b[k], a[m])))
+            pair_corner.append(corner[k[hit]])
+            pair_face.append(corner[m[hit]] // 3)
         d += 1
     pair_corner, pair_face = np.concatenate(pair_corner), np.concatenate(pair_face)
     order = np.lexsort((pair_face, pair_corner))     # (fi, corner, fj) order
@@ -332,28 +336,17 @@ def symmetry_census(mesh: FlatMesh) -> MeshStats:
 # OFF file I/O
 # ---------------------------------------------------------------------------
 
-# rows per written block: a text export holds one block of lines, never the
-# whole file
-_WRITE_BLOCK = 4096
-
-
-def row_blocks(table: np.ndarray, rows: Optional[int] = None):
-    """Yield (first row, block) for successive row blocks of ``table``,
-    ``rows`` (by default ``_WRITE_BLOCK``) rows at a time."""
-    rows = rows or _WRITE_BLOCK
-    for lo in range(0, len(table), rows):
-        yield lo, table[lo:lo + rows]
-
-
 def write_off(mesh: FlatMesh, path) -> None:
-    """ASCII OFF with shortest round-trip float formatting, a block of
-    ``_WRITE_BLOCK`` lines at a time."""
+    """ASCII OFF with shortest round-trip float formatting, at most
+    ``blocks.BLOCK`` lines at a time: the export holds one block of lines,
+    never the whole file."""
     with open(path, "wb") as fh:
         fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n".encode("ascii"))
-        for _, block in row_blocks(mesh.vertices):
-            fh.write(text.packed(text.line(text.floats(block), " ")))
-        for _, block in row_blocks(mesh.faces):
-            fh.write(text.packed(text.line(text.ints(np.insert(block, 0, 3, axis=1)), " ")))
+        for block in blocks.blocks(mesh.n_vertices):
+            fh.write(text.packed(text.line(text.floats(mesh.vertices[block]), " ")))
+        for block in blocks.blocks(mesh.n_faces):
+            fh.write(text.packed(text.line(
+                text.ints(np.insert(mesh.faces[block], 0, 3, axis=1)), " ")))
 
 
 def read_off(path) -> FlatMesh:

@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from . import blocks
 from .errors import DegeneratePoint, NoConvergence, OutsideTube
 
 DEFAULT_TOL = 1e-13
@@ -25,10 +26,6 @@ DEFAULT_MAX_ITER = 50
 
 # number of gradient-flow steps used to seed the Newton iteration
 _FLOW_STEPS = 5
-
-# points per projection block: the iteration's temporaries (KKT stack,
-# Hessians, trial residuals) take about 700 B per point of a block
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -328,10 +325,11 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     all the same.  After a raise its blocks hold a mix of projected and
     original points.
 
-    The points are projected in ``ceil(n / _BLOCK)`` blocks of nearly equal
-    size, so that no block is a short remainder, into outputs allocated once,
-    so the iteration's temporaries do not grow with the batch.  Every
-    operation on a point is elementwise: its bits do not depend on its block.
+    The points are projected at most ``blocks.BLOCK`` at a time, into
+    outputs allocated once, so the iteration's temporaries (KKT stack,
+    Hessians, trial residuals; about 700 B per point) do not grow with the
+    batch.  Every operation on a point is elementwise: its bits do not depend
+    on its block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 0 < tol < math.inf:
@@ -348,10 +346,7 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     resid = np.empty(n)
     unconverged = np.zeros(n, dtype=bool)
     outside, outside_indices = None, []
-    n_blocks = -(-n // _BLOCK)
-    for b in range(n_blocks):
-        lo = n * b // n_blocks
-        block = slice(lo, n * (b + 1) // n_blocks)
+    for block in blocks.blocks(n):
         try:
             if surface.analytic_project is not None:
                 proj = surface.analytic_project(pts[block])
@@ -362,7 +357,7 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
         except OutsideTube as exc:
             if outside is None:
                 outside = exc
-            outside_indices += [lo + i for i in exc.indices]
+            outside_indices += [block.start + i for i in exc.indices]
             continue
         # the original points are read before ``out`` may overwrite them
         dist[block] = np.sign(surface.phi(pts[block])) * np.linalg.norm(

@@ -19,9 +19,7 @@ import functools
 
 import numpy as np
 
-# values formatted per pass of the kernel: its uint64 temporaries stay at
-# 64 KB each
-_BLOCK = 8192
+from . import blocks
 
 # a sign column, then the 23 characters of the longest unsigned repr,
 # '2.2250738585072014e-308'
@@ -73,13 +71,15 @@ def ints(values) -> np.ndarray:
 
 
 def floats(values) -> np.ndarray:
-    """``repr(float(x))`` for every value of a float array, one cell each."""
+    """``repr(float(x))`` for every value of a float array, one cell each,
+    formatted at most ``blocks.BLOCK`` values at a time: the kernel's uint64
+    temporaries stay at 64 KB each."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     flat = x.reshape(-1)
     chars = np.empty((flat.size, _WIDTH), dtype=np.uint8)
     width = 1
-    for lo in range(0, flat.size, _BLOCK):
-        width = max(width, _format_block(flat[lo:lo + _BLOCK], chars[lo:lo + _BLOCK]))
+    for block in blocks.blocks(flat.size):
+        width = max(width, _format_block(flat[block], chars[block]))
     return chars[:, :width].reshape(x.shape + (width,))
 
 

@@ -1,4 +1,6 @@
+import collections
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,23 @@ def one_iteration_projector(monkeypatch):
     fails on the ellipsoid, which has no closed-form projection."""
     monkeypatch.setattr(sq.curved, "project_many",
                         functools.partial(sq.surfaces.project_many, max_iter=1))
+
+
+@pytest.fixture()
+def passes(monkeypatch):
+    """The number of slices of every ``blocks.blocks`` call made while the
+    test runs, listed under the name of the function that made it: a test
+    that patches ``blocks.BLOCK`` shows with it how many passes a loop ran."""
+    calls = collections.defaultdict(list)
+    slicer = sq.blocks.blocks
+
+    def counted(n, size=None):
+        slices = slicer(n, size)
+        calls[sys._getframe(1).f_code.co_name].append(len(slices))
+        return slices
+
+    monkeypatch.setattr(sq.blocks, "blocks", counted)
+    return calls
 
 
 @pytest.fixture()

@@ -11,6 +11,18 @@ import surfquad as sq
 from surfquad.cli import build_parser, main
 
 
+def cli_process(*args, **env):
+    """``surfquad *args`` in a process of its own, with ``env`` added to the
+    environment."""
+    src = str(Path(sq.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from surfquad.cli import main; sys.exit(main(sys.argv[1:]))",
+         *args], env=env, check=True, capture_output=True, text=True)
+
+
 class TestParsing:
     def test_valid_converge_config(self):
         parser = build_parser()
@@ -104,20 +116,22 @@ class TestMeshCommand:
     def test_curved_nodes_bytes_at_degree(self, tmp_path, k):
         self.test_curved_nodes_bytes(tmp_path, k)
 
-    def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch):
-        # 32 faces, one face range, written in blocks of about 50 lines: five
-        # faces of 10 rows at k=3, and one face of 66 rows at k=10.  At k=3
-        # (146 unique nodes) a block shares nodes with an earlier one and uses
-        # nodes that sort before those of block 0; every block takes its
-        # lines from the range's one node list
-        monkeypatch.setattr(sq.cli, "_CSV_LINES", 50)
+    def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch,
+                                                    passes):
+        # 32 faces, one face range, written in blocks of at most 50 lines:
+        # seven blocks of four or five faces of 10 rows at k=3, and one face
+        # of 66 rows at k=10.  At k=3 (146 unique nodes) a block shares nodes
+        # with an earlier one and uses nodes that sort before those of block
+        # 0; every block takes its lines from the range's one node list
+        monkeypatch.setattr(sq.blocks, "BLOCK", 50)
         surface = sq.ellipsoid(1.0, 1.0, 0.6)
         mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
         index = sq.build_surface_elements(mesh, surface, 3).node_index
-        assert np.intersect1d(index[:5], index[5:10]).size > 0
-        assert np.setdiff1d(index[5:], index[:5]).min() < index[:5].max()
+        assert np.intersect1d(index[:4], index[4:9]).size > 0
+        assert np.setdiff1d(index[4:], index[:4]).min() < index[:4].max()
         for k in (3, 10):
             self.test_curved_nodes_bytes(tmp_path, k)
+        assert passes["_write_curved_nodes"] == [7, 32]
 
     def test_curved_nodes_write_memory_flat(self, tmp_path, monkeypatch):
         # the export's memory above the mesh and its kept edge table is one
@@ -125,7 +139,7 @@ class TestMeshCommand:
         # whatever the number of blocks (2 and 32 here): every block is built
         # after the peak is reset
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 64)
-        monkeypatch.setattr(sq.cli, "_CSV_LINES", 64 * 15)
+        monkeypatch.setattr(sq.blocks, "BLOCK", 64 * 15)
         at_first_block = []
 
         def reset_peak_then_build(mesh, *args):
@@ -170,6 +184,19 @@ class TestIntegrateCommand:
         value, n, h = out[1].split(",")
         assert int(n) == 32
         assert float(value) == pytest.approx(4 * np.pi, rel=1e-2)
+
+    def test_one_conditioning_warning(self):
+        # the degree-12 basis warns once per table location, and the tables
+        # check the condition once, from one place
+        run = cli_process("integrate", "--surface", "sphere:R=1", "--kind",
+                          "octa_sphere", "--res", "1", "--levels", "1", "--k", "12",
+                          PYTHONWARNINGS="default")
+        assert run.stderr.count("IllConditionedWarning") == 1
+        assert run.stdout.startswith("value,n_elements,h\n")
+
+    def test_run_binds_no_local_text(self):
+        # a local ``text`` would make the text module unbound in all of run
+        assert "text" not in sq.cli.run.__code__.co_varnames
 
     def test_numerical_failure_exits_1(self, capsys, one_iteration_projector):
         code = main("integrate --surface ellipsoid:a=1,b=1,c=0.6 "
@@ -250,7 +277,7 @@ class TestFaceBlocks:
         "--levels 1 --k-max 6"], ids=["torus", "ellipsoid", "runge"])
     def test_report_bytes_across_blocks(self, tmp_path, monkeypatch, command):
         outputs = []
-        # blocks of 7 faces: 2 to 74 blocks per level, the last one short
+        # blocks of at most 7 faces: 2 to 74 blocks per level
         for block in (1 << 30, 7):
             monkeypatch.setattr(sq.curved, "_FACE_BLOCK", block)
             for threads in (1, 2):
@@ -259,13 +286,15 @@ class TestFaceBlocks:
                 outputs.append(out.read_bytes())
         assert all(o == outputs[0] for o in outputs[1:])
 
-    def test_curved_nodes_bytes_across_blocks(self, tmp_path, monkeypatch):
-        # 32 faces in blocks of 5; at k=10 each block's 330 rows are written
-        # in five blocks of one face (66 lines)
+    def test_curved_nodes_bytes_across_blocks(self, tmp_path, monkeypatch, passes):
+        # 32 faces in seven blocks of 4 or 5; at k=10 each block's rows are
+        # written one face (66 lines) at a time
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 5)
-        monkeypatch.setattr(sq.cli, "_CSV_LINES", 70)
-        for k in (1, 3, 10):
+        monkeypatch.setattr(sq.blocks, "BLOCK", 70)
+        for k, writes in ((1, [1] * 7), (3, [1] * 7), (10, [4, 5, 4, 5, 4, 5, 5])):
+            passes.clear()
             TestMeshCommand().test_curved_nodes_bytes(tmp_path, k)
+            assert passes["_write_curved_nodes"] == writes
 
 
 class TestDeterminism:
@@ -282,20 +311,12 @@ class TestDeterminism:
         # needs its own process
         args = ("converge --surface torus:R=2,r=1 --kind struct_torus --res 1 "
                 "--k 2 --f gauss_curvature --levels 3 --mode interp").split()
-        src = str(Path(sq.__file__).resolve().parent.parent)
         outputs = []
         for blas in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
             for threads in ("1", "2"):
                 out = tmp_path / f"blas{blas}-threads{threads}.csv"
-                subprocess.run(
-                    [sys.executable, "-c",
-                     "import sys; from surfquad.cli import main; "
-                     "sys.exit(main(sys.argv[1:]))",
-                     *args, "--threads", threads, "--out", str(out)],
-                    env=env, check=True)
+                cli_process(*args, "--threads", threads, "--out", str(out),
+                            OPENBLAS_NUM_THREADS=blas)
                 outputs.append(out.read_bytes())
         assert outputs[0].count(b"\n") == 5   # header and levels 0-3
         assert all(o == outputs[0] for o in outputs[1:])

@@ -8,7 +8,7 @@ import pytest
 
 import surfquad as sq
 from surfquad import cli
-from surfquad.curved import (_basis_tables, _chart_metric, affine_chart_points,
+from surfquad.curved import (_chart_metric, affine_chart_points,
                              build_surface_elements)
 from surfquad.errors import (DegenerateJacobian, IntegrationError, NoConvergence,
                              OutsideTube)
@@ -251,16 +251,21 @@ class TestBuildBlocks:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bits_independent_of_fill_block(self, torus21, flat_ellipsoid, k,
-                                            monkeypatch):
+                                            monkeypatch, passes):
         cases = [(torus21, sq.generate_base(torus21, "struct_torus", 1)),
                  (flat_ellipsoid, sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))]
         whole = [build_surface_elements(mesh, surface, k) for surface, mesh in cases]
-        # 32 faces each: one block by default, one face or two edges per block here
-        monkeypatch.setattr(sq.curved, "_FILL_BLOCK", 7)
+        # 32 and 8 faces: one block by default, one or two faces and two to
+        # seven edges per block here
+        monkeypatch.setattr(sq.blocks, "BLOCK", 7)
+        passes.clear()
         for (surface, mesh), a in zip(cases, whole):
             b = build_surface_elements(mesh, surface, k)
             for x, y in ((a.node_index, b.node_index), (a.unique_nodes, b.unique_nodes)):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        # the edge and face fills of both meshes each ran more than one pass
+        assert len(passes["build_surface_elements"]) == 4
+        assert min(passes["build_surface_elements"]) > 1
 
     def test_peak_memory_bounded_by_kept_arrays(self, torus21):
         # the flat nodes, projected in place, and project_many's three (n,)
@@ -311,7 +316,7 @@ class TestFaceRanges:
 
     def test_face_blocks_cover_the_mesh(self, monkeypatch):
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
-        assert sq.curved.face_blocks(7) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert sq.curved.face_blocks(7) == [slice(0, 2), slice(2, 4), slice(4, 7)]
         assert sq.curved.face_blocks(0) == []
 
 
@@ -320,7 +325,7 @@ def kernel_chunk(request, torus21):
     """Degree-12 rule tables and a 512-element chunk of the level-2 torus."""
     mesh = sq.bisect(sq.bisect(sq.generate_base(torus21, "struct_torus", 2)))
     batch = build_surface_elements(mesh, torus21, request.param)
-    return (_basis_tables(batch.basis, sq.builtin_rule(12).points),
+    return (batch.basis.tables(sq.builtin_rule(12).points),
             batch.element_nodes(slice(0, 512)))
 
 
@@ -472,7 +477,7 @@ class TestFailureAttribution:
 
         expected = listed(err.value.failures)
         assert len(expected) == 224
-        # 11 blocks of 3 faces: most failing nodes are shared by two blocks
+        # 11 blocks of 2 or 3 faces: most failing nodes are shared by two blocks
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
         rule = sq.builtin_rule(12)
         for threads in (1, 2):
@@ -533,8 +538,9 @@ class TestFailureAttribution:
     @pytest.mark.parametrize("surface", [sq.sphere(1.0),
                                          sq.ellipsoid(1.0, 1.0, 0.6)],
                              ids=["sphere", "ellipsoid"])
-    def test_outside_tube_in_later_block(self, surface, monkeypatch):
+    def test_outside_tube_in_later_block(self, surface, monkeypatch, passes):
         # unique nodes 0-2 are the vertices and the origin is an edge node
         # (3-5): in blocks of two it is projected in a later block than node 0
-        monkeypatch.setattr(sq.surfaces, "_BLOCK", 2)
+        monkeypatch.setattr(sq.blocks, "BLOCK", 2)
         self.test_outside_tube_names_face_and_node(surface)
+        assert passes["project_many"] == [3, 3]

@@ -47,19 +47,19 @@ class TestBasis:
 
     def test_linear_is_barycentric(self):
         basis = sq.lagrange_basis(1)
-        assert np.allclose(sq.eval_basis(basis, (1 / 3, 1 / 3)),
+        assert np.allclose(basis.eval((1 / 3, 1 / 3)),
                            [1 / 3, 1 / 3, 1 / 3])
 
     def test_node_hit_gives_unit_vector(self):
         basis = sq.lagrange_basis(4)
-        vals = sq.eval_basis(basis, basis.nodes[7])
+        vals = basis.eval(basis.nodes[7])
         expect = np.zeros(basis.count)
         expect[7] = 1.0
         assert np.max(np.abs(vals - expect)) < 1e-10
 
     def test_quadratic_edge_midpoint_vertex_entry(self):
         basis = sq.lagrange_basis(2)
-        vals = sq.eval_basis(basis, (0.5, 0.5))
+        vals = basis.eval((0.5, 0.5))
         assert abs(vals[0]) < 1e-12          # opposite vertex (0,0)
 
     @settings(max_examples=50, deadline=None)
@@ -67,7 +67,7 @@ class TestBasis:
     def test_partition_of_unity(self, a, b):
         s, t = ref_triangle_points(a, b)
         basis = sq.lagrange_basis(4)
-        assert abs(sq.eval_basis(basis, (s, t)).sum() - 1.0) < 1e-10
+        assert abs(basis.eval((s, t)).sum() - 1.0) < 1e-10
 
     def test_leading_axes_match_row_by_row(self, rng):
         basis = sq.lagrange_basis(3)
@@ -85,7 +85,7 @@ class TestBasis:
 
     def test_linear_gradients(self):
         basis = sq.lagrange_basis(1)
-        g = sq.eval_basis_grad(basis, (0.3, 0.2))
+        g = np.column_stack(basis.eval_grad((0.3, 0.2)))
         assert np.allclose(g[0], [-1, -1])   # vertex (0,0)
         assert np.allclose(g[1], [0, 1])     # vertex (0,1)
         assert np.allclose(g[2], [1, 0])     # vertex (1,0)
@@ -94,7 +94,7 @@ class TestBasis:
     @given(unit, unit)
     def test_gradient_sums_vanish(self, a, b):
         s, t = ref_triangle_points(a, b)
-        g = sq.eval_basis_grad(sq.lagrange_basis(5), (s, t))
+        g = np.column_stack(sq.lagrange_basis(5).eval_grad((s, t)))
         assert np.max(np.abs(g.sum(axis=0))) < 1e-9
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -104,11 +104,9 @@ class TestBasis:
         for _ in range(20):
             s = rng.uniform(0.05, 0.9)
             t = rng.uniform(0.05, 0.95) * (1 - s)
-            g = sq.eval_basis_grad(basis, (s, t))
-            fd_s = (sq.eval_basis(basis, (s + h, t))
-                    - sq.eval_basis(basis, (s - h, t))) / (2 * h)
-            fd_t = (sq.eval_basis(basis, (s, t + h))
-                    - sq.eval_basis(basis, (s, t - h))) / (2 * h)
+            g = np.column_stack(basis.eval_grad((s, t)))
+            fd_s = (basis.eval((s + h, t)) - basis.eval((s - h, t))) / (2 * h)
+            fd_t = (basis.eval((s, t + h)) - basis.eval((s, t - h))) / (2 * h)
             assert np.max(np.abs(g[:, 0] - fd_s)) < 1e-5
             assert np.max(np.abs(g[:, 1] - fd_t)) < 1e-5
 
@@ -119,7 +117,7 @@ class TestInterpolate:
         for _ in range(10):
             s = rng.uniform(0, 1)
             t = rng.uniform(0, 1) * (1 - s)
-            out = sq.interpolate(basis, basis.nodes, (s, t))
+            out = basis.interpolate(basis.nodes, (s, t))
             assert np.allclose(out, [s, t], atol=1e-12)
 
     def test_exact_for_degree_k(self, rng):
@@ -129,7 +127,7 @@ class TestInterpolate:
         for _ in range(50):
             s = rng.uniform(0, 1)
             t = rng.uniform(0, 1) * (1 - s)
-            got = sq.interpolate(basis, nodal, (s, t))
+            got = basis.interpolate(nodal, (s, t))
             assert abs(got - s * s * t) < 1e-12
 
     def test_not_exact_beyond_degree(self):
@@ -143,7 +141,7 @@ class TestInterpolate:
     def test_dimension_mismatch(self):
         basis = sq.lagrange_basis(2)
         with pytest.raises(DimensionMismatch):
-            sq.interpolate(basis, np.zeros(4), (0.2, 0.2))
+            basis.interpolate(np.zeros(4), (0.2, 0.2))
 
 
 class TestGradientDefect:

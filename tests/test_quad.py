@@ -389,7 +389,7 @@ class TestStreamedIntegration:
             whole, failures = _element_values(build_surface_elements(mesh, surface, k),
                                               rule, mode, f, surface)
             assert failures == []
-            # 19 blocks of 7 faces, the last of 2, and one block
+            # 19 blocks of 6 or 7 faces, and one block
             for block in (7, 1 << 30):
                 monkeypatch.setattr(sq.curved, "_FACE_BLOCK", block)
                 for threads in (1, 2):

@@ -395,13 +395,15 @@ class TestOffIO:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_blocked_write_same_bytes(self, torus21, generic_triangle_mesh,
-                                      tmp_path, monkeypatch):
+                                      tmp_path, monkeypatch, passes):
         m = sq.generate_base(torus21, "struct_torus", 1)
         whole, blocked = tmp_path / "whole.off", tmp_path / "blocked.off"
         sq.write_off(m, whole)
-        monkeypatch.setattr(sq.refmesh, "_WRITE_BLOCK", 2)
+        monkeypatch.setattr(sq.blocks, "BLOCK", 2)
         sq.write_off(m, blocked)
         assert blocked.read_bytes() == whole.read_bytes()
+        # 16 vertices and 32 faces, two lines per write
+        assert passes["write_off"] == [1, 1, 8, 16]
         sq.write_off(generic_triangle_mesh, blocked)
         assert blocked.read_text() == ("OFF\n3 1 0\n0.0 0.0 0.0\n2.1 0.3 0.0\n"
                                        "0.7 1.9 0.4\n3 0 1 2\n")

@@ -123,13 +123,13 @@ def shell_points(surface, n, rng, lo=0.8, hi=1.2):
 
 
 class TestProjectionBlocks:
-    """project_many works in blocks of surfaces._BLOCK points."""
+    """project_many works in blocks of at most blocks.BLOCK points."""
 
     B = 5
 
     @pytest.mark.parametrize("name", ["ellipsoid", "torus", "sphere"])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1])
-    def test_bits_independent_of_block(self, name, n, rng, monkeypatch):
+    def test_bits_independent_of_block(self, name, n, rng, monkeypatch, passes):
         if name == "torus":
             surface = sq.torus(2.0, 1.0)
             pts = torus_points(2.0, 1.0, 7, 5)[:n] * rng.uniform(0.9, 1.1, (n, 1))
@@ -138,12 +138,13 @@ class TestProjectionBlocks:
                        else sq.sphere(1.0))
             pts = shell_points(surface, n, rng)
         whole = sq.project_many(surface, pts)
-        monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
+        monkeypatch.setattr(sq.blocks, "BLOCK", self.B)
         blocked = sq.project_many(surface, pts)
         # in place: distances come from the original points all the same
         buf = pts.copy()
         in_place = sq.project_many(surface, buf, out=buf)
         assert in_place[0] is buf
+        assert passes["project_many"] == [1, -(-n // self.B), -(-n // self.B)]
         for other in (blocked, in_place):
             for a, b in zip(whole, other):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -151,7 +152,7 @@ class TestProjectionBlocks:
             assert len(set(whole[2].tolist())) > 1    # Newton, varied iteration counts
 
     def test_no_convergence_names_points_across_blocks(self, flat_ellipsoid, rng,
-                                                       monkeypatch):
+                                                       monkeypatch, passes):
         # on-surface points converge without a step; far ones fail in one step,
         # the worst of them in the second block
         pts = shell_points(flat_ellipsoid, 2 * self.B, rng, 1.0, 1.0)
@@ -159,9 +160,10 @@ class TestProjectionBlocks:
         pts[far] *= [[1.3], [1.4], [1.5], [1.9]]
         with pytest.raises(NoConvergence) as whole:
             sq.project_many(flat_ellipsoid, pts, max_iter=1)
-        monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
+        monkeypatch.setattr(sq.blocks, "BLOCK", self.B)
         with pytest.raises(NoConvergence) as blocked:
             sq.project_many(flat_ellipsoid, pts, max_iter=1)
+        assert passes["project_many"] == [1, 2]
         assert whole.value.indices == blocked.value.indices == far
         assert blocked.value.residual == whole.value.residual
         assert blocked.value.iterations == whole.value.iterations == 1
@@ -181,17 +183,19 @@ class TestProjectionBlocks:
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6)],
                              ids=["sphere", "ellipsoid"])
-    def test_outside_tube_names_points_across_blocks(self, surface, rng, monkeypatch):
+    def test_outside_tube_names_points_across_blocks(self, surface, rng, monkeypatch,
+                                                     passes):
         # the center: closed form and Newton seed are both undefined there
         pts = shell_points(surface, 3 * self.B, rng)
         pts[[2, 11]] = 0.0
-        monkeypatch.setattr(sq.surfaces, "_BLOCK", self.B)
+        monkeypatch.setattr(sq.blocks, "BLOCK", self.B)
         with pytest.raises(OutsideTube) as err:
             sq.project_many(surface, pts)
         assert err.value.indices == [2, 11]
         with pytest.raises(OutsideTube) as err:
             sq.project_many(surface, pts, out=pts)
         assert err.value.indices == [2, 11]
+        assert passes["project_many"] == [3, 3]
 
     def test_out_shape_checked(self, unit_sphere):
         pts = np.ones((4, 3))

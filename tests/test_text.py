@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import surfquad as sq
 from surfquad import text
 
 
@@ -59,12 +60,13 @@ class TestFloats:
         c = np.random.default_rng(8).integers(2**52, 2**53, size=4096) | 1
         assert kernel(c / 4.0) == reprs(c / 4.0)
 
-    def test_cells_independent_of_block(self, monkeypatch):
+    def test_cells_independent_of_block(self, monkeypatch, passes):
         values = np.random.default_rng(9).uniform(-2.0, 2.0, (11, 3))
         values[3, 1] = 0.0
         whole = text.floats(values)
-        monkeypatch.setattr(text, "_BLOCK", 4)
+        monkeypatch.setattr(sq.blocks, "BLOCK", 4)
         assert np.array_equal(text.floats(values), whole)
+        assert passes["floats"] == [1, 9]
         assert text.packed(text.line(whole, " ")).tobytes() == "".join(
             f"{x!r} {y!r} {z!r}\n" for x, y, z in values.tolist()).encode()
 
