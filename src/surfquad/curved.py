@@ -7,8 +7,10 @@ contiguous range of a mesh's faces (the whole mesh by default; a single
 element is the face of a one-face mesh): the nodes are deduplicated through
 the vertex ids and the mesh's one edge table before projection, so shared
 edge nodes of neighboring elements are bitwise identical (watertight), also
-when the two faces fall in different ranges.  Integration and the node export
-stream a fine mesh through ``face_blocks``, so no mesh-wide node table exists.
+when the two faces fall in different ranges.  ``_node_ids`` numbers them from
+the node set's placement table, for a range and for a failure's whole-mesh
+ids.  Integration and the node export stream a fine mesh through
+``face_blocks``, so no mesh-wide node table exists.
 """
 
 from __future__ import annotations
@@ -193,44 +195,30 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     vertex_id = vertex_id.reshape(block_faces.shape)
     edge_ids, edge_id = np.unique(side_edge[first:stop], return_inverse=True)
     edge_id = edge_id.reshape(block_faces.shape)
-    edge_base = len(used)
-    face_base = edge_base + len(edge_ids) * (k - 1)
-
-    # Each boundary lattice node lies `step` nodes along face side (0,1),
-    # (1,2) or (2,0) from that side's first corner; step 0 is the corner.
-    i, j = basis.node_set.lattice.T
-    inner = (i > 0) & (j > 0) & (i + j < k)
-    side = np.where((i == 0) & (j < k), 0, np.where(j == 0, 2, 1))
-    step = np.choose(side, [j, i, k - i])
-    corner = ~inner & (step == 0)
-    along = ~inner & (step > 0)
-    s, t = side[along], step[along]
+    bases = (len(used), len(used) + len(edge_ids) * (k - 1))
+    inner = basis.node_set.side < 0
     n_inner = int(inner.sum())
 
     # The node table and the flat nodes are filled a block of edges or faces
     # of about ``blocks.BLOCK`` nodes at a time, so no temporary grows with
     # the range; every node is computed elementwise, so its bits do not depend
     # on its block or range.
-    n_nodes = face_base + len(block_faces) * n_inner
+    n_nodes = bases[1] + len(block_faces) * n_inner
     node_index = np.empty((len(block_faces), basis.count),
                           dtype=np.int32 if n_nodes < 2**31 else np.int64)
     flat_nodes = np.empty((n_nodes, 3))
-    flat_nodes[:edge_base] = verts[used]
+    flat_nodes[:bases[0]] = verts[used]
     steps = np.arange(1, k) / k
     for rows in blocks.blocks(len(edge_ids), blocks.BLOCK // max(1, k - 1)):
         lo, hi = rows.start, rows.stop
-        flat_nodes[edge_base + lo * (k - 1):edge_base + hi * (k - 1)] = (
+        flat_nodes[bases[0] + lo * (k - 1):bases[0] + hi * (k - 1)] = (
             _edge_nodes(verts, edges[edge_ids[rows]], steps))
     for rows in blocks.blocks(len(block_faces), blocks.BLOCK // basis.count):
         lo, hi = rows.start, rows.stop
         f = block_faces[rows]
-        forward = f[:, s] < f[:, (s + 1) % 3]
-        node_index[lo:hi, corner] = vertex_id[lo:hi][:, side[corner]]
-        node_index[lo:hi, along] = (edge_base + edge_id[lo:hi, s] * (k - 1)
-                                    + np.where(forward, t, k - t) - 1)
-        node_index[lo:hi, inner] = (face_base + np.arange(lo, hi)[:, None] * n_inner
-                                    + np.arange(n_inner))
-        flat_nodes[face_base + lo * n_inner:face_base + hi * n_inner] = (
+        node_index[rows] = _node_ids(basis, f, vertex_id[rows], edge_id[rows],
+                                     np.arange(lo, hi), bases)
+        flat_nodes[bases[1] + lo * n_inner:bases[1] + hi * n_inner] = (
             affine_chart_points(verts[f], basis.nodes[inner]).reshape(-1, 3))
     # not needed while projecting
     del edges, side_edge, used, vertex_id, edge_ids, edge_id
@@ -238,11 +226,35 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
         # projected in place: the flat nodes are not needed afterwards
         project_many(surface, flat_nodes, out=flat_nodes)
     except (NoConvergence, OutsideTube) as exc:
-        ids = _mesh_node_ids(mesh, k, first, stop, exc.indices)
+        vertices = np.unique(mesh.faces)   # the whole mesh's ranks
+        mesh_ids = _node_ids(
+            basis, block_faces, np.searchsorted(vertices, block_faces),
+            mesh.edges[1][first:stop], np.arange(first, stop),
+            (len(vertices), len(vertices) + len(mesh.edges[0]) * (k - 1)))
         raise IntegrationError(
-            _locate_failures(node_index, exc, first, ids)) from exc
+            _locate_failures(node_index, exc, first, mesh_ids)) from exc
     return ElementBatch(degree=degree, basis=basis, mesh=block,
                         node_index=node_index, unique_nodes=flat_nodes)
+
+
+def _node_ids(basis: LagrangeBasis, faces: np.ndarray, vertex_id: np.ndarray,
+              edge_id: np.ndarray, face_id: np.ndarray, bases) -> np.ndarray:
+    """The (F', N) node ids of (F', 3) faces, numbered from the ranks of
+    their vertices and side edges, each (F', 3), and of the faces, (F',):
+    a corner gets its vertex's rank, a side node ``bases[0] + edge rank *
+    (k-1) + step - 1`` with the step counted from the edge's smaller vertex,
+    and interior node i ``bases[1] + face rank * n_inner + i``."""
+    k, side, step = basis.degree, basis.node_set.side, basis.node_set.step
+    corner, along, inner = step == 0, step > 0, side < 0
+    s, t = side[along], step[along]
+    n_inner = int(inner.sum())
+    ids = np.empty((len(faces), basis.count), dtype=np.int64)
+    ids[:, corner] = vertex_id[:, side[corner]]
+    forward = faces[:, s] < faces[:, (s + 1) % 3]
+    ids[:, along] = (bases[0] + edge_id[:, s] * (k - 1)
+                     + np.where(forward, t, k - t) - 1)
+    ids[:, inner] = bases[1] + face_id[:, None] * n_inner + np.arange(n_inner)
+    return ids
 
 
 def _edge_nodes(verts: np.ndarray, ends: np.ndarray, steps: np.ndarray):
@@ -258,39 +270,18 @@ def face_blocks(n_faces: int) -> list[slice]:
     return blocks.blocks(n_faces, _FACE_BLOCK)
 
 
-def _mesh_node_ids(mesh: FlatMesh, k: int, first: int, stop: int,
-                   local) -> np.ndarray:
-    """The ids that the whole mesh's build gives the nodes ``local`` of the
-    build of faces ``first:stop``."""
-    used = np.unique(mesh.faces[first:stop])
-    edge_ids = np.unique(mesh.edges[1][first:stop])
-    vertices = np.unique(mesh.faces)
-    local = np.asarray(local, dtype=np.int64)
-    edge_nodes = len(edge_ids) * (k - 1)
-    face_base = len(vertices) + len(mesh.edges[0]) * (k - 1)
-    vert = local < len(used)
-    inner = local >= len(used) + edge_nodes
-    along = ~vert & ~inner
-    ids = np.empty_like(local)
-    ids[vert] = np.searchsorted(vertices, used[local[vert]])
-    edge, step = np.divmod(local[along] - len(used), max(1, k - 1))
-    ids[along] = len(vertices) + edge_ids[edge] * (k - 1) + step
-    ids[inner] = (face_base + first * (k - 1) * (k - 2) // 2
-                  + local[inner] - len(used) - edge_nodes)
-    return ids
-
-
-def _locate_failures(node_index: np.ndarray, exc, first: int, ids: np.ndarray):
+def _locate_failures(node_index: np.ndarray, exc, first: int, mesh_ids):
     """Attribute every failing node to the first slot that uses it in
     row-major order (first face, lowest local node), in the order of
-    ``exc.indices``; ``ids`` are their mesh-wide node ids, which each
-    sub-error carries as its ``indices``, and faces count from ``first``."""
+    ``exc.indices``; each sub-error carries as its ``indices`` the node's
+    whole-mesh id, read at that slot of ``mesh_ids`` (shaped like
+    ``node_index``), and faces count from ``first``."""
     uids = np.asarray(exc.indices, dtype=np.int64)
     faces, locals_ = np.nonzero(np.isin(node_index, uids))
     found, firsts = np.unique(node_index[faces, locals_], return_index=True)
     # every node fills at least one slot, so each uid is found
     slots = firsts[np.searchsorted(found, uids)]
-    ids = ids.tolist()
+    ids = mesh_ids[faces[slots], locals_[slots]].tolist()
     failures = []
     for n, (face, node) in enumerate(zip(faces[slots].tolist(),
                                          locals_[slots].tolist())):

@@ -3,7 +3,9 @@
 The reference triangle is {(s, t) : 0 <= s <= 1, 0 <= t <= 1 - s}.  Nodes are
 the equidistant lattice {(i/k, j/k) : i + j <= k}, ordered vertices first
 ((0,0), (0,1), (1,0)), then edge nodes, then interior nodes (lexicographic by
-(s, t) within each group).  The basis is represented by monomial coefficients
+(s, t) within each group); the node set, the one owner of this layout, also
+tables each node's place (corner, step along a side, or inside).  The basis
+is represented by monomial coefficients
 obtained from the generalized Vandermonde at the nodes; fine for the moderate
 degrees used here, with a condition-number warning past 1e12.
 """
@@ -27,11 +29,15 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class ReferenceNodeSet:
-    """Equidistant interpolation lattice on the reference triangle."""
+    """Equidistant lattice on the reference triangle and each node's place:
+    ``step`` nodes along face side ``side`` (0, 1, 2 for (0,1), (1,2), (2,0))
+    from its first corner, so corner c is (c, 0); -1 and -1 inside."""
 
     degree: int
     nodes: np.ndarray     # (N, 2) float, (s, t)
     lattice: np.ndarray   # (N, 2) int, (i, j) with s = i/k, t = j/k
+    side: np.ndarray      # (N,) int, 0..2 or -1
+    step: np.ndarray      # (N,) int, 0..k-1 or -1
 
     @property
     def count(self) -> int:
@@ -43,22 +49,19 @@ def reference_nodes(degree: int) -> ReferenceNodeSet:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     k = degree
-    edges, interior = [], []
-    for i in range(k + 1):
-        for j in range(k + 1 - i):
-            zero = (i == 0) + (j == 0) + (i + j == k)
-            if zero == 1:
-                edges.append((i, j))
-            elif zero == 0:
-                interior.append((i, j))
-    # fixed vertex order (0,0), (0,1), (1,0); lexicographic (s, t) elsewhere
-    vertices = [(0, 0), (0, k), (k, 0)]
-    edges.sort()
-    interior.sort()
-    lattice = np.array(vertices + edges + interior, dtype=np.int64)
-    nodes = lattice.astype(float) / k
-    assert len(nodes) == (k + 1) * (k + 2) // 2
-    return ReferenceNodeSet(degree=k, nodes=nodes, lattice=lattice)
+    ij = np.indices((k + 1, k + 1), dtype=np.int64).reshape(2, -1).T
+    ij = ij[ij.sum(axis=1) <= k]   # lexicographic (i, j)
+    i, j = ij.T
+    # corners lie on 2 sides, side nodes on 1, interior nodes on none;
+    # lexicographic order puts the corners as (0,0), (0,k), (k,0)
+    sides = (i == 0).astype(int) + (j == 0) + (i + j == k)
+    lattice = ij[np.argsort(-sides, kind="stable")]
+    i, j = lattice.T
+    # the half-open sides: corner c starts side c
+    on = [(i == 0) & (j < k), (i + j == k) & (i < k), (j == 0) & (i > 0)]
+    return ReferenceNodeSet(degree=k, nodes=lattice / k, lattice=lattice,
+                            side=np.select(on, [0, 1, 2], -1),
+                            step=np.select(on, [j, i, k - i], -1))
 
 
 def _monomial_powers(degree: int) -> np.ndarray:
@@ -238,20 +241,16 @@ def cheb_grid(n: int) -> ChebGrid:
     return ChebGrid(n=n, nodes_1d=nodes)
 
 
-def _lebesgue_max(nodes: np.ndarray, bary_w: np.ndarray,
-                  sample: np.ndarray) -> float:
-    """Max over the sample grid of sum_i |l_i(x)| in barycentric form."""
+def _lebesgue_max(nodes: np.ndarray, sample: np.ndarray, lebesgue) -> float:
+    """Max over the sample grid of the Lebesgue function, which ``lebesgue``
+    gives for a block of samples from their (samples, n + 1) differences
+    x - x_i to the nodes; it equals 1 at the nodes."""
     best = 1.0
-    # at most 20,000 samples per block, each n + 1 entries of every
-    # (samples, n + 1) temporary
-    for block in blocks.blocks(len(sample), 20000):
-        x = sample[block]
-        diff = x[:, None] - nodes[None, :]
-        hit = np.isclose(diff, 0.0, atol=1e-15)
+    for block in blocks.blocks(len(sample), blocks.BLOCK // len(nodes)):
+        diff = sample[block, None] - nodes[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            k = bary_w[None, :] / diff
-            lam = np.abs(k).sum(axis=1) / np.abs(k.sum(axis=1))
-        lam[hit.any(axis=1)] = 1.0   # the Lebesgue function equals 1 at nodes
+            lam = lebesgue(diff)
+        lam[np.isclose(diff, 0.0, atol=1e-15).any(axis=1)] = 1.0
         best = max(best, float(np.nanmax(lam)))
     return best
 
@@ -260,7 +259,8 @@ def cheb_lebesgue(n: int, grid_density: int = 200001) -> float:
     """Brute-force Lebesgue constant of the Chebyshev-Lobatto nodes.
 
     Scans a dense grid uniform in the angle variable (which clusters samples
-    the way the nodes cluster) plus a uniform grid in x.
+    the way the nodes cluster) plus a uniform grid in x, with the second
+    barycentric form.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -274,20 +274,28 @@ def cheb_lebesgue(n: int, grid_density: int = 200001) -> float:
     angles = np.linspace(0.0, math.pi, grid_density)
     sample = np.concatenate([np.cos(angles),
                              np.linspace(-1.0, 1.0, grid_density)])
-    return _lebesgue_max(grid.nodes_1d, w, sample)
+
+    def lebesgue(diff):
+        k = w[None, :] / diff
+        return np.abs(k).sum(axis=1) / np.abs(k.sum(axis=1))
+    return _lebesgue_max(grid.nodes_1d, sample, lebesgue)
 
 
 def equidistant_lebesgue(n: int, grid_density: int = 200001) -> float:
-    """Same estimator applied to n+1 equidistant nodes on [-1, 1]."""
+    """Same scan for n+1 equidistant nodes on [-1, 1], in log space:
+    |l_i(x)| = exp(sum_{j != i} log|x - x_j| + log w_i), with 1/w_i =
+    (2/n)^n i! (n-i)!; the barycentric form cancels past n ~ 50."""
     if n < 1:
         raise ValueError("n must be >= 1")
     nodes = np.linspace(-1.0, 1.0, n + 1)
-    i = np.arange(n + 1)
-    logw = (math.lgamma(n + 1) - np.array([math.lgamma(v + 1) for v in i])
-            - np.array([math.lgamma(n - v + 1) for v in i]))
-    w = (-1.0) ** i * np.exp(logw - logw.max())
+    logw = -np.array([n * math.log(2.0 / n) + math.lgamma(i + 1)
+                      + math.lgamma(n - i + 1) for i in range(n + 1)])
     sample = np.linspace(-1.0, 1.0, grid_density)
-    return _lebesgue_max(nodes, w, sample)
+
+    def lebesgue(diff):
+        logd = np.log(np.abs(diff))
+        return np.exp(logd.sum(axis=1)[:, None] - logd + logw).sum(axis=1)
+    return _lebesgue_max(nodes, sample, lebesgue)
 
 
 def lebesgue_formula(n: int) -> float:

@@ -65,8 +65,8 @@ def monomial_integral(a: int, b: int) -> float:
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-def _verify_rule(rule: QuadratureRule, rtol: float = 1e-14) -> None:
-    """Abort if a built-in rule misses a monomial moment by rtol, relative."""
+def _verify_rule(rule: QuadratureRule) -> None:
+    """Abort if a built-in rule misses a monomial moment by 1e-14, relative."""
     s, t = rule.points[:, 0], rule.points[:, 1]
     if np.any(rule.weights <= 0.0):
         raise AssertionError(f"degree-{rule.degree} rule has nonpositive weights")
@@ -76,7 +76,7 @@ def _verify_rule(rule: QuadratureRule, rtol: float = 1e-14) -> None:
         for b in range(rule.degree + 1 - a):
             got = float(rule.weights @ (s**a * t**b))
             want = monomial_integral(a, b)
-            if not abs(got - want) <= rtol * want:   # NaN fails too
+            if not abs(got - want) <= 1e-14 * want:   # NaN fails too
                 raise AssertionError(
                     f"degree-{rule.degree} rule fails on s^{a} t^{b}: "
                     f"{got!r} vs {want!r}")

@@ -21,8 +21,9 @@ import numpy as np
 from . import blocks
 from .errors import DegeneratePoint, NoConvergence, OutsideTube
 
-DEFAULT_TOL = 1e-13
-DEFAULT_MAX_ITER = 50
+# Newton's residual tolerance (times max(1, |x|)) and budget, read at call time
+TOL = 1e-13
+MAX_ITER = 50
 
 # number of gradient-flow steps used to seed the Newton iteration
 _FLOW_STEPS = 5
@@ -311,13 +312,12 @@ def _hessian(surface: ImplicitSurface, pts: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER, out=None):
+def project_many(surface: ImplicitSurface, points, out=None):
     """Project an (n, 3) batch of points onto the surface.
 
     Returns (projected (n,3), signed distance (n,), iterations (n,),
     residuals (n,)).  Raises OutsideTube for degenerate seeds and
-    NoConvergence if any point fails to converge within ``max_iter``; both
+    NoConvergence if any point fails to converge within ``MAX_ITER``; both
     name the failing points by their index in ``points``.
 
     The projections go into ``out``, a float (n, 3) array, when it is given;
@@ -332,8 +332,6 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     on its block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
 
     n = len(pts)
     if out is None:
@@ -353,7 +351,7 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
                 resid[block] = np.abs(surface.phi(proj))
             else:
                 (proj, iters[block], resid[block],
-                 unconverged[block]) = _newton_block(surface, pts[block], tol, max_iter)
+                 unconverged[block]) = _newton_block(surface, pts[block])
         except OutsideTube as exc:
             if outside is None:
                 outside = exc
@@ -374,8 +372,7 @@ def project_many(surface: ImplicitSurface, points, tol: float = DEFAULT_TOL,
     return out, dist, iters, resid
 
 
-def _newton_block(surface: ImplicitSurface, pts: np.ndarray, tol: float,
-                  max_iter: int):
+def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
     """Gradient flow, then damped Newton on the stationarity system, for one
     block of points: (projections, iterations, residual norms, mask of the
     points still above tolerance)."""
@@ -407,9 +404,9 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray, tol: float,
     F = resid_vec(y, lam, pts)
     rnorm = np.linalg.norm(F, axis=1)
     iters = np.zeros(len(pts), dtype=int)
-    active = rnorm > tol * scale
+    active = rnorm > TOL * scale
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not np.any(active):
             break
         ia = np.flatnonzero(active)
@@ -451,14 +448,12 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray, tol: float,
         F[accepted] = F_try[improved]
         rnorm[accepted] = r_try[improved]
         iters[ia] += 1
-        active[ia] = rnorm[ia] > tol * scale[ia]
+        active[ia] = rnorm[ia] > TOL * scale[ia]
     return y, iters, rnorm, active
 
 
-def project(surface: ImplicitSurface, x, tol: float = DEFAULT_TOL,
-            max_iter: int = DEFAULT_MAX_ITER) -> ProjectionResult:
+def project(surface: ImplicitSurface, x) -> ProjectionResult:
     """Closest point on the surface to ``x`` (single point)."""
-    pts, dist, iters, resid = project_many(surface, np.asarray(x, dtype=float)[None, :],
-                                           tol=tol, max_iter=max_iter)
+    pts, dist, iters, resid = project_many(surface, np.asarray(x, dtype=float)[None, :])
     return ProjectionResult(point=pts[0], distance=float(dist[0]),
                             iterations=int(iters[0]), residual=float(resid[0]))

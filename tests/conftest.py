@@ -1,5 +1,4 @@
 import collections
-import functools
 import sys
 
 import numpy as np
@@ -25,10 +24,9 @@ def flat_ellipsoid():
 
 @pytest.fixture()
 def one_iteration_projector(monkeypatch):
-    """Curved-node projection limited to one Newton iteration, so that it
-    fails on the ellipsoid, which has no closed-form projection."""
-    monkeypatch.setattr(sq.curved, "project_many",
-                        functools.partial(sq.surfaces.project_many, max_iter=1))
+    """Projection limited to one Newton iteration, so that it fails on the
+    ellipsoid, which has no closed-form projection."""
+    monkeypatch.setattr(sq.surfaces, "MAX_ITER", 1)
 
 
 @pytest.fixture()

@@ -426,7 +426,7 @@ class TestFailureAttribution:
             flat = affine_chart_points(mesh.vertices[mesh.faces[face]],
                                        basis.nodes[node:node + 1])
             with pytest.raises(NoConvergence) as alone:
-                sq.project_many(flat_ellipsoid, flat, max_iter=1)
+                sq.project_many(flat_ellipsoid, flat)
             # edge nodes are placed from the edge's smaller vertex, so the
             # flat point may differ from the face's affine chart in the last bit
             assert sub.residual == pytest.approx(alone.value.residual, rel=1e-9)
@@ -495,6 +495,37 @@ class TestFailureAttribution:
             f"--curved-nodes {tmp_path / 'n.csv'}".split())
         assert code == 1
         assert "(224 face/node failure(s))" in capsys.readouterr().err
+
+    def test_failures_numbered_by_vertex_rank(self, flat_ellipsoid,
+                                              one_iteration_projector,
+                                              monkeypatch, tmp_path):
+        # vertex 0 is unreferenced, so every vertex's rank is its index - 1:
+        # the whole build, the streamed ranges and the export name the same
+        # nodes by the same ids as on the mesh without the extra vertex
+        mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
+        shifted = FlatMesh(np.vstack([[[5.0, 5.0, 5.0]], mesh.vertices]),
+                           mesh.faces + 1)
+
+        def listed(failures):
+            return [(face, str(sub), sub.indices) for face, sub in failures]
+
+        failures = []
+        for m in (mesh, shifted):
+            with pytest.raises(IntegrationError) as err:
+                build_surface_elements(m, flat_ellipsoid, 4)
+            failures.append(listed(err.value.failures))
+        expected = failures[0]
+        assert failures[1] == expected and len(expected) == 224
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
+        for threads in (1, 2):
+            with pytest.raises(IntegrationError) as streamed:
+                sq.integrate_surface(shifted, flat_ellipsoid,
+                                     flat_ellipsoid.gauss_curvature, 4,
+                                     sq.builtin_rule(12), threads=threads)
+            assert listed(streamed.value.failures) == expected
+        with pytest.raises(IntegrationError) as exported:
+            cli._write_curved_nodes(shifted, flat_ellipsoid, 4, tmp_path / "n.csv")
+        assert listed(exported.value.failures) == expected
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0),
                                          sq.ellipsoid(1.0, 1.0, 0.6)],

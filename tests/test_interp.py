@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,49 @@ def ref_triangle_points(draw_s, draw_t):
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def two_loop_lattice(k):
+    """The lattice order built node by node: vertices (0,0), (0,k), (k,0),
+    then the side nodes, then the interior nodes, each lexicographic."""
+    sides, interior = [], []
+    for i in range(k + 1):
+        for j in range(k + 1 - i):
+            on = (i == 0) + (j == 0) + (i + j == k)
+            if on == 1:
+                sides.append((i, j))
+            elif on == 0:
+                interior.append((i, j))
+    return np.array([(0, 0), (0, k), (k, 0)] + sorted(sides) + sorted(interior),
+                    dtype=np.int64)
+
+
 class TestNodes:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_order_pinned_to_two_loop_construction(self, k):
+        ns = sq.reference_nodes(k)
+        want = two_loop_lattice(k)
+        assert ns.lattice.dtype == want.dtype
+        assert ns.lattice.tobytes() == want.tobytes()
+        nodes = want.astype(float) / k
+        assert ns.nodes.dtype == nodes.dtype and ns.nodes.tobytes() == nodes.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_placement_table(self, k):
+        ns = sq.reference_nodes(k)
+        corners = np.array([(0, 0), (0, k), (k, 0), (0, 0)])
+        boundary = ns.side >= 0
+        side, step = ns.side[boundary], ns.step[boundary]
+        want = (corners[side] * k
+                + step[:, None] * (corners[side + 1] - corners[side])) / k
+        assert np.array_equal(ns.lattice[boundary], want)
+        assert np.array_equal(ns.side[:3], [0, 1, 2])
+        assert np.array_equal(ns.step[:3], [0, 0, 0])
+        assert np.all((step >= 0) & (step < k))
+        assert np.count_nonzero(step == 0) == 3
+        assert np.count_nonzero(~boundary) == (k - 1) * (k - 2) // 2
+        assert np.all(ns.step[~boundary] == -1)
+        i, j = ns.lattice[~boundary].T
+        assert np.all((i > 0) & (j > 0) & (i + j < k))
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8])
     def test_count_and_lattice(self, k):
         ns = sq.reference_nodes(k)
@@ -259,6 +302,35 @@ class TestChebyshev:
 
     def test_equidistant_exponential_blowup(self):
         assert sq.equidistant_lebesgue(32) > 1e5
+
+    @pytest.mark.parametrize("n", [48, 62, 63, 64])
+    def test_equidistant_follows_its_law(self, n):
+        # 2^(n+1) / (e n log n); the barycentric form gave inf at n = 63
+        lam = sq.equidistant_lebesgue(n, 20001)
+        law = 2.0 ** (n + 1) / (math.e * n * math.log(n))
+        assert math.isfinite(lam)
+        assert 0.84 < lam / law < 0.88
+
+    def test_equidistant_matches_product_form(self):
+        # small n, where the product form is exact to roundoff
+        n, x = 8, np.linspace(-1.0, 1.0, 1001)
+        nodes = np.linspace(-1.0, 1.0, n + 1)
+        total = np.zeros_like(x)
+        for i in range(n + 1):
+            others = np.delete(nodes, i)
+            total += np.abs(np.prod((x[:, None] - others) / (nodes[i] - others),
+                                    axis=1))
+        assert sq.equidistant_lebesgue(n, 1001) == pytest.approx(
+            float(total.max()), rel=1e-13)
+
+    def test_scan_memory_bounded_by_block(self):
+        tracemalloc.start()
+        try:
+            sq.cheb_lebesgue(64, 20001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_formula_value(self):
         # Lobatto law: log(n), not the roots-family log(n+1)
