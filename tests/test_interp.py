@@ -54,8 +54,7 @@ class TestNodes:
         corners = np.array([(0, 0), (0, k), (k, 0), (0, 0)])
         boundary = ns.side >= 0
         side, step = ns.side[boundary], ns.step[boundary]
-        want = (corners[side] * k
-                + step[:, None] * (corners[side + 1] - corners[side])) / k
+        want = corners[side] + step[:, None] * (corners[side + 1] - corners[side]) / k
         assert np.array_equal(ns.lattice[boundary], want)
         assert np.array_equal(ns.side[:3], [0, 1, 2])
         assert np.array_equal(ns.step[:3], [0, 0, 0])
