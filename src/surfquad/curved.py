@@ -60,6 +60,8 @@ def affine_chart_points(flat_tri: np.ndarray, ref_pts: np.ndarray) -> np.ndarray
 _FACE_BLOCK = 2048
 
 _CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
+_FOLDED = "chart folds against the outward normal: inverted flat face or mesh too coarse"
+_SINGULAR = "metric determinant <= 0 at a quadrature point"
 
 
 def _chart_points(tables: tuple, nodes: np.ndarray) -> np.ndarray:
@@ -80,16 +82,12 @@ def _chart_metric(tables: tuple, nodes: np.ndarray):
 
 
 def _folded_charts(surface: ImplicitSurface, centroid_tables: tuple,
-                  nodes: np.ndarray, flat_tris: np.ndarray) -> np.ndarray:
-    """(C,) mask of charts that fold at the centroid: the curved chart flips
-    against the normal relative to the (C, 3, 3) flat triangles."""
+                   nodes: np.ndarray) -> np.ndarray:
+    """(C,) mask of the charts of (C, N, 3) nodes that fold at the centroid:
+    det <= 0, or (d/dt x d/ds) . (grad_phi summed over corners 0-2) <= 0."""
     js, jt, det = _chart_metric(centroid_tables, nodes)
-    normals = np.asarray(
-        surface.grad_phi(_chart_points(centroid_tables, nodes)[:, 0]), dtype=float)
-    flat_cross = np.cross(flat_tris[:, 2] - flat_tris[:, 0],
-                          flat_tris[:, 1] - flat_tris[:, 0])
-    orient = (np.einsum("cd,cd->c", np.cross(js[..., 0], jt[..., 0]), normals)
-              * np.einsum("cd,cd->c", flat_cross, normals))
+    outward = np.asarray(surface.grad_phi(nodes[:, :3]), dtype=float).sum(axis=1)
+    orient = np.einsum("cd,cd->c", np.cross(jt[..., 0], js[..., 0]), outward)
     return (orient <= 0.0) | (det[:, 0] <= 0.0)
 
 
@@ -104,9 +102,8 @@ def build_element(surface: ImplicitSurface, flat_tri, degree: int,
         raise ValueError(f"basis must be lagrange_basis({degree})")
     batch = build_surface_elements(FlatMesh(flat_tri, [[0, 1, 2]]), surface, degree)
     if _folded_charts(surface, batch.basis.tables(_CENTROID),
-                      batch.element_nodes(), flat_tri[None])[0]:
-        raise DegenerateJacobian(
-            "curved chart is not orientation-preserving; mesh too coarse")
+                      batch.element_nodes())[0]:
+        raise DegenerateJacobian(_FOLDED)
     return batch.element(0)
 
 

@@ -55,7 +55,8 @@ class DimensionMismatch(SurfquadError):
 
 
 class DegenerateJacobian(SurfquadError):
-    """Curved-element chart is not a diffeomorphism (mesh too coarse)."""
+    """Curved chart is not orientation-preserving: metric determinant <= 0, or
+    a fold against the outward normal (inverted flat face or mesh too coarse)."""
 
 
 class UnsupportedDegree(SurfquadError):

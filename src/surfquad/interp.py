@@ -262,11 +262,9 @@ def cheb_lebesgue(n: int, grid_density: int = 200001) -> float:
     the way the nodes cluster) plus a uniform grid in x, with the second
     barycentric form.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    grid = cheb_grid(n)
     if grid_density < 1000:
         raise ValueError("grid_density must be >= 1000")
-    grid = cheb_grid(n)
     w = np.ones(n + 1)
     w[1::2] = -1.0
     w[0] *= 0.5
@@ -287,6 +285,8 @@ def equidistant_lebesgue(n: int, grid_density: int = 200001) -> float:
     (2/n)^n i! (n-i)!; the barycentric form cancels past n ~ 50."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if grid_density < 1000:
+        raise ValueError("grid_density must be >= 1000")
     nodes = np.linspace(-1.0, 1.0, n + 1)
     logw = -np.array([n * math.log(2.0 / n) + math.lgamma(i + 1)
                       + math.lgamma(n - i + 1) for i in range(n + 1)])

@@ -27,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from . import blocks, quadrules
-from .curved import (_CENTROID, CurvedElement, ElementBatch, _chart_metric,
-                     _chart_points, _folded_charts, build_surface_elements,
-                     face_blocks, merged_failures)
+from .curved import (_CENTROID, _FOLDED, _SINGULAR, CurvedElement,
+                     ElementBatch, _chart_metric, _chart_points, _folded_charts,
+                     build_surface_elements, face_blocks, merged_failures)
 from .errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
                      UnsupportedDegree)
 from .interp import lagrange_basis
@@ -150,11 +150,10 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
                    else f_nodal_unique[batch.node_index[chunk]])
         out[chunk], degenerate = _chart_integrals(tables, rule.weights, nodes,
                                                   f, f_nodal)
-        tris = batch.mesh.vertices[batch.mesh.faces[chunk]]
-        folded = _folded_charts(surface, centroid_tables, nodes, tris)
+        folded = _folded_charts(surface, centroid_tables, nodes)
         for mask, error, why in (
-                (degenerate, DegenerateJacobian, "metric determinant <= 0"),
-                (folded, DegenerateJacobian, "chart folds against the normal"),
+                (degenerate, DegenerateJacobian, _SINGULAR),
+                (folded, DegenerateJacobian, _FOLDED),
                 (~np.isfinite(out[chunk]), DegeneratePoint,
                  "element integral is not finite")):
             failures.extend((chunk.start + int(ci), error(why))
@@ -213,7 +212,7 @@ def integrate_element(elem: CurvedElement, f: Callable, rule: QuadratureRule,
                                          rule.weights, elem.projected_nodes[None], f,
                                          None if f_nodal is None else f_nodal[None])
     if degenerate[0]:
-        raise DegenerateJacobian("metric determinant <= 0 at a quadrature point")
+        raise DegenerateJacobian(_SINGULAR)
     if not np.isfinite(value[0]):
         raise DegeneratePoint("element integral is not finite")
     return float(value[0])

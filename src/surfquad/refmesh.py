@@ -29,7 +29,8 @@ from .surfaces import ImplicitSurface, project_many
 
 @dataclass(frozen=True)
 class FlatMesh:
-    """Indexed triangle mesh; faces are counterclockwise seen from outside."""
+    """Indexed triangle mesh; faces are counterclockwise seen from outside, and
+    integration checks it: an inverted face fails with ``DegenerateJacobian``."""
 
     vertices: np.ndarray          # (V, 3) float
     faces: np.ndarray             # (F, 3) int

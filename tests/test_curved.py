@@ -115,7 +115,7 @@ class TestChartEval:
 
     def test_unit_right_triangle_metric_one(self):
         surf = plane_surface()
-        tri = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         el = sq.build_element(surf, tri, 1)
         assert sq.chart_eval(el, (0.25, 0.25)).g == pytest.approx(1.0, rel=1e-14)
 
@@ -176,10 +176,38 @@ class TestChartEval:
                    for _, e in err.value.failures)
 
 
+class TestOrientation:
+    """FlatMesh faces are counterclockwise seen from outside; a chart that
+    folds against the outward normal is rejected, also on an inverted face."""
+
+    def test_clockwise_triangle_rejected(self):
+        tri = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateJacobian, match="inverted flat face"):
+            sq.build_element(plane_surface(), tri, 1)
+
+    def test_inverted_faces_named(self, unit_sphere):
+        mesh = sq.generate_base(unit_sphere, "octa_sphere", 2)
+        for _ in range(2):
+            mesh = sq.bisect(mesh)
+        # reflect face 5's first vertex across its opposite edge: faces 5 and
+        # 7 turn clockwise seen from outside (flat and curved alike)
+        v = mesh.vertices.copy()
+        a, b, c = mesh.faces[5]
+        v[a] = v[b] + v[c] - v[a]
+        with pytest.raises(IntegrationError) as err:
+            # unchecked, the overlap counts twice: 12.6025 against 4 pi
+            sq.integrate_surface(FlatMesh(v, mesh.faces), unit_sphere,
+                                 lambda p: np.ones(p.shape[:-1]), 2,
+                                 sq.builtin_rule(12))
+        assert {face for face, _ in err.value.failures} == {5, 7}
+        assert all(isinstance(e, DegenerateJacobian)
+                   for _, e in err.value.failures)
+
+
 class TestElementDiameter:
     def test_unit_right_triangle(self):
         surf = plane_surface()
-        tri = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         el = sq.build_element(surf, tri, 1)
         assert sq.element_diameter(el) == pytest.approx(math.sqrt(2.0))
 

@@ -347,6 +347,9 @@ class TestChebyshev:
             sq.cheb_lebesgue(4, 10)
         with pytest.raises(ValueError, match="n must be >= 1"):
             sq.lebesgue_formula(0)
+        for grid_density in (0, 2, 999):
+            with pytest.raises(ValueError, match="grid_density must be >= 1000"):
+                sq.equidistant_lebesgue(40, grid_density)
 
 
 class TestConditionWarnings:

@@ -164,7 +164,7 @@ class TestComputedRules:
 class TestIntegrateElement:
     def test_constant_over_flat_unit_right_triangle(self):
         surf = plane_surface()
-        tri = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         el = sq.build_element(surf, tri, 1)
         got = sq.integrate_element(el, lambda p: np.ones(p.shape[:-1]),
                                    sq.builtin_rule(4))
@@ -333,6 +333,7 @@ class TestIntegrateSurface:
             raise AssertionError("chart points formed")
 
         monkeypatch.setattr(sq.quad, "_chart_points", chart_points)
+        monkeypatch.setattr(sq.curved, "_chart_points", chart_points)
         mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)
         f = lambda p: np.ones(p.shape[:-1])
         rule = sq.builtin_rule(12)
