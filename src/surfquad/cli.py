@@ -39,7 +39,7 @@ def _ranged_int(name, lo, hi):
     return parse
 
 
-def _add_common(p, *, levels_default=3, with_k=True):
+def _add_common(p, *, levels_default=3, with_k=True, with_rule=True):
     p.add_argument("--surface", required=True,
                    help="surface spec, e.g. sphere:R=1 | torus:R=2,r=1 | "
                         "ellipsoid:a=1,b=1,c=0.6")
@@ -54,8 +54,9 @@ def _add_common(p, *, levels_default=3, with_k=True):
     if with_k:
         p.add_argument("--k", type=_ranged_int("--k", 1, 12), default=2,
                        help="curved element degree (default 2)")
-    p.add_argument("--rule-degree", type=_ranged_int("--rule-degree", 1, 12),
-                   default=12, help="quadrature degree (default 12)")
+    if with_rule:
+        p.add_argument("--rule-degree", type=_ranged_int("--rule-degree", 1, 12),
+                       default=12, help="quadrature degree (default 12)")
     p.add_argument("--threads", type=_ranged_int("--threads", 1, 64),
                    default=os.environ.get("SURFQUAD_THREADS", "1"),
                    help="worker threads for the element loop "
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="generate a refined flat mesh as an OFF file")
-    _add_common(p, with_k=True)
+    _add_common(p, with_rule=False)
     p.add_argument("--out", required=True, help="output OFF path")
     p.add_argument("--project-vertices", action="store_true",
                    help="re-project refined vertices onto the surface")

@@ -23,7 +23,7 @@ import numpy as np
 from . import blocks
 from .errors import DegenerateJacobian, IntegrationError, NoConvergence, OutsideTube
 from .interp import LagrangeBasis, lagrange_basis
-from .refmesh import FlatMesh, edge_table, mesh_size
+from .refmesh import FlatMesh, edge_table
 from .surfaces import ImplicitSurface, project_many
 
 
@@ -31,19 +31,8 @@ from .surfaces import ImplicitSurface, project_many
 class CurvedElement:
     """Degree-k curved triangle parametrized over the reference triangle."""
 
-    degree: int
-    flat_vertices: np.ndarray     # (3, 3) parametrizing flat triangle
     projected_nodes: np.ndarray   # (N, 3) nodes on the surface
     basis: LagrangeBasis
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Chart point with Jacobian and area density at one reference point."""
-
-    point: np.ndarray      # (3,)
-    jacobian: np.ndarray   # (3, 2), columns d/ds and d/dt
-    g: float               # sqrt(det(J^T J))
 
 
 def affine_chart_points(flat_tri: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
@@ -101,31 +90,10 @@ def build_element(surface: ImplicitSurface, flat_tri, degree: int,
     if basis is not None and basis is not lagrange_basis(degree):
         raise ValueError(f"basis must be lagrange_basis({degree})")
     batch = build_surface_elements(FlatMesh(flat_tri, [[0, 1, 2]]), surface, degree)
-    if _folded_charts(surface, batch.basis.tables(_CENTROID),
-                      batch.element_nodes())[0]:
+    nodes = batch.element_nodes()
+    if _folded_charts(surface, batch.basis.tables(_CENTROID), nodes)[0]:
         raise DegenerateJacobian(_FOLDED)
-    return batch.element(0)
-
-
-def chart_eval(elem: CurvedElement, ref_pt) -> MetricSample:
-    """Chart point, Jacobian and metric factor at one (2,) reference point."""
-    ref_pt = np.asarray(ref_pt, dtype=float)
-    if ref_pt.shape != (2,):
-        raise ValueError(f"expected one (2,) reference point, got {ref_pt.shape}")
-    tables = elem.basis.tables(ref_pt[None])
-    nodes = elem.projected_nodes[None]
-    js, jt, det = _chart_metric(tables, nodes)
-    det = float(det[0, 0])
-    if det <= 0.0:
-        raise DegenerateJacobian(f"metric determinant {det:.3e} <= 0")
-    return MetricSample(point=_chart_points(tables, nodes)[0, 0],
-                        jacobian=np.column_stack([js[0, :, 0], jt[0, :, 0]]),
-                        g=float(np.sqrt(det)))
-
-
-def element_diameter(elem: CurvedElement) -> float:
-    """Longest side of the parametrizing flat triangle."""
-    return mesh_size(FlatMesh(elem.flat_vertices, [[0, 1, 2]]))
+    return CurvedElement(nodes[0], batch.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +118,6 @@ class ElementBatch:
     def element_nodes(self, faces=slice(None)) -> np.ndarray:
         """(F', N, 3) projected nodes gathered per element."""
         return self.unique_nodes[self.node_index[faces]]
-
-    def element(self, face: int) -> CurvedElement:
-        return CurvedElement(
-            degree=self.degree,
-            flat_vertices=self.mesh.vertices[self.mesh.faces[face]],
-            projected_nodes=self.unique_nodes[self.node_index[face]],
-            basis=self.basis)
 
 
 def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,

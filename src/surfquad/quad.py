@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import blocks, quadrules
-from .curved import (_CENTROID, _FOLDED, _SINGULAR, CurvedElement,
-                     ElementBatch, _chart_metric, _chart_points, _folded_charts,
+from .curved import (_CENTROID, _FOLDED, _SINGULAR, ElementBatch,
+                     _chart_metric, _chart_points, _folded_charts,
                      build_surface_elements, face_blocks, merged_failures)
 from .errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
                      UnsupportedDegree)
@@ -202,20 +202,6 @@ def _run(task: Callable, items, threads: int) -> list:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(task, items))
     return [task(item) for item in items]
-
-
-def integrate_element(elem: CurvedElement, f: Callable, rule: QuadratureRule,
-                      mode: str = MODE_EXACT) -> float:
-    """Integral of f over a single curved element."""
-    f_nodal = _nodal_values(mode, f, elem.projected_nodes)
-    value, degenerate = _chart_integrals(elem.basis.tables(rule.points),
-                                         rule.weights, elem.projected_nodes[None], f,
-                                         None if f_nodal is None else f_nodal[None])
-    if degenerate[0]:
-        raise DegenerateJacobian(_SINGULAR)
-    if not np.isfinite(value[0]):
-        raise DegeneratePoint("element integral is not finite")
-    return float(value[0])
 
 
 def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,

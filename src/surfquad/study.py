@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InsufficientData, StagnationWarning
+from .errors import IllConditionedWarning, InsufficientData, StagnationWarning
 from .interp import COND_LIMIT, lagrange_basis
 from .quad import (MODE_INTERP, QuadratureRule, builtin_rule, constant_one,
                    integrate_surface)
@@ -146,7 +146,8 @@ def run_runge(surface: ImplicitSurface, mesh: FlatMesh, k_range, f_name: str,
     for k in ks:
         basis = lagrange_basis(k)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            # reported in the cond_warning column
+            warnings.simplefilter("ignore", IllConditionedWarning)
             result = integrate_surface(mesh, surface, f, k, rule, mode=mode,
                                        threads=threads)
         rows.append(RungeRow(k=k, error=error_metric(result.value, exact),

@@ -60,6 +60,14 @@ class TestParsing:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_mesh_takes_no_rule_degree(self, capsys):
+        # mesh integrates nothing, so it offers no quadrature degree
+        with pytest.raises(SystemExit) as exc:
+            main("mesh --surface sphere:R=1 --kind octa_sphere --out /tmp/x.off "
+                 "--rule-degree 4".split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rule-degree" in capsys.readouterr().err
+
     def test_unknown_surface_key_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main("mesh --surface sphere:Q=1 --kind octa_sphere "

@@ -8,11 +8,11 @@ import pytest
 
 import surfquad as sq
 from surfquad import cli
-from surfquad.curved import (_chart_metric, affine_chart_points,
-                             build_surface_elements)
+from surfquad.curved import (_FOLDED, _chart_metric, _chart_points,
+                             affine_chart_points, build_surface_elements)
 from surfquad.errors import (DegenerateJacobian, IntegrationError, NoConvergence,
                              OutsideTube)
-from surfquad.quad import MODE_EXACT, MODE_INTERP, _chart_integrals
+from surfquad.quad import MODE_EXACT, _chart_integrals
 from surfquad.refmesh import FlatMesh
 
 
@@ -71,16 +71,11 @@ class TestOneElementPipeline:
         base = sq.generate_base(surface, kind, res)
         tri = base.vertices[base.faces[3]]
         mesh = FlatMesh(tri, [[0, 1, 2]])
-        rule = sq.builtin_rule(12)
         for k in range(1, 7):
             el = sq.build_element(surface, tri, k)
             batch = build_surface_elements(mesh, surface, k)
             assert el.projected_nodes.tobytes() == batch.element_nodes()[0].tobytes()
-            for mode in (MODE_EXACT, MODE_INTERP):
-                alone = sq.integrate_element(el, surface.gauss_curvature, rule, mode)
-                whole = sq.integrate_surface(mesh, surface, surface.gauss_curvature,
-                                             k, rule, mode).value
-                assert alone == whole, (k, mode)
+            assert el.basis is batch.basis
 
     def test_projection_failure_names_face_0(self, flat_ellipsoid,
                                              one_iteration_projector):
@@ -104,28 +99,37 @@ class TestOneElementPipeline:
         assert el.basis is sq.lagrange_basis(2)
 
 
+def chart_samples(el, ref_pts):
+    """Chart points (q, 3), Jacobian columns d/ds and d/dt (q, 3) each and
+    area density sqrt(det(J^T J)) (q,) of one element at (q, 2) points."""
+    tables = el.basis.tables(np.asarray(ref_pts, dtype=float).reshape(-1, 2))
+    nodes = el.projected_nodes[None]
+    js, jt, det = _chart_metric(tables, nodes)
+    return (_chart_points(tables, nodes)[0], js[0].T, jt[0].T,
+            np.sqrt(det[0]))
+
+
 class TestChartEval:
     def test_flat_k1_metric_is_twice_area(self):
         surf = plane_surface()
         tri = np.array([[0.0, 0.0, 0.0], [3.0, 1.0, 0.0], [1.0, 2.0, 0.0]])
         el = sq.build_element(surf, tri, 1)
         area = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
-        for p in ((0.2, 0.3), (0.0, 0.0), (0.4, 0.5)):
-            assert sq.chart_eval(el, p).g == pytest.approx(2 * area, rel=1e-14)
+        g = chart_samples(el, [(0.2, 0.3), (0.0, 0.0), (0.4, 0.5)])[3]
+        assert g == pytest.approx(np.full(3, 2 * area), rel=1e-14)
 
     def test_unit_right_triangle_metric_one(self):
         surf = plane_surface()
         tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         el = sq.build_element(surf, tri, 1)
-        assert sq.chart_eval(el, (0.25, 0.25)).g == pytest.approx(1.0, rel=1e-14)
+        assert chart_samples(el, (0.25, 0.25))[3][0] == pytest.approx(1.0, rel=1e-14)
 
     def test_octant_area_k6_single_element(self, unit_sphere, octant_tri):
         # frozen from a composite-quadrature oracle: one degree-6 chart over
         # the whole octant carries an irreducible ~1.7e-3 area defect
-        el = sq.build_element(unit_sphere, octant_tri, 6)
-        rule = sq.builtin_rule(12)
-        samples = [sq.chart_eval(el, p).g for p in rule.points]
-        got = float(rule.weights @ np.asarray(samples))
+        got = sq.integrate_surface(FlatMesh(octant_tri, [[0, 1, 2]]), unit_sphere,
+                                   lambda p: np.ones(p.shape[:-1]), 6,
+                                   sq.builtin_rule(12), MODE_EXACT).value
         # 1.568048904871 is the converged composite-quadrature value; the
         # single degree-12 rule adds ~4.6e-6 of its own on this huge element
         assert got == pytest.approx(1.568048904871, abs=1e-5)
@@ -147,20 +151,12 @@ class TestChartEval:
         for _ in range(10):
             s = rng.uniform(0.1, 0.8)
             t = rng.uniform(0.1, 0.9) * (1 - s)
-            jac = sq.chart_eval(el, (s, t)).jacobian
-            fd_s = (sq.chart_eval(el, (s + h, t)).point
-                    - sq.chart_eval(el, (s - h, t)).point) / (2 * h)
-            fd_t = (sq.chart_eval(el, (s, t + h)).point
-                    - sq.chart_eval(el, (s, t - h)).point) / (2 * h)
-            assert np.max(np.abs(jac[:, 0] - fd_s)) < 1e-5
-            assert np.max(np.abs(jac[:, 1] - fd_t)) < 1e-5
-
-    def test_rejects_anything_but_one_point(self, unit_sphere):
-        mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)
-        el = sq.build_element(unit_sphere, mesh.vertices[mesh.faces[0]], 2)
-        for bad in ([[0.2, 0.3], [0.1, 0.1]], [[0.2, 0.3]], (0.2, 0.3, 0.1), 0.2):
-            with pytest.raises(ValueError):
-                sq.chart_eval(el, bad)
+            pts, js, jt, _ = chart_samples(
+                el, [(s, t), (s + h, t), (s - h, t), (s, t + h), (s, t - h)])
+            fd_s = (pts[1] - pts[2]) / (2 * h)
+            fd_t = (pts[3] - pts[4]) / (2 * h)
+            assert np.max(np.abs(js[0] - fd_s)) < 1e-5
+            assert np.max(np.abs(jt[0] - fd_t)) < 1e-5
 
     def test_degenerate_triangle_rejected(self):
         surf = plane_surface()
@@ -185,39 +181,55 @@ class TestOrientation:
         with pytest.raises(DegenerateJacobian, match="inverted flat face"):
             sq.build_element(plane_surface(), tri, 1)
 
-    def test_inverted_faces_named(self, unit_sphere):
-        mesh = sq.generate_base(unit_sphere, "octa_sphere", 2)
+    @staticmethod
+    def inverted_mesh(surface):
+        """octa_sphere res 2 bisected twice, with face 5's first vertex
+        reflected across its opposite edge: faces 5 and 7 turn clockwise
+        seen from outside (flat and curved alike)."""
+        mesh = sq.generate_base(surface, "octa_sphere", 2)
         for _ in range(2):
             mesh = sq.bisect(mesh)
-        # reflect face 5's first vertex across its opposite edge: faces 5 and
-        # 7 turn clockwise seen from outside (flat and curved alike)
         v = mesh.vertices.copy()
         a, b, c = mesh.faces[5]
         v[a] = v[b] + v[c] - v[a]
+        return FlatMesh(v, mesh.faces)
+
+    def test_inverted_faces_named(self, unit_sphere):
+        mesh = self.inverted_mesh(unit_sphere)
         with pytest.raises(IntegrationError) as err:
             # unchecked, the overlap counts twice: 12.6025 against 4 pi
-            sq.integrate_surface(FlatMesh(v, mesh.faces), unit_sphere,
+            sq.integrate_surface(mesh, unit_sphere,
                                  lambda p: np.ones(p.shape[:-1]), 2,
                                  sq.builtin_rule(12))
         assert {face for face, _ in err.value.failures} == {5, 7}
         assert all(isinstance(e, DegenerateJacobian)
                    for _, e in err.value.failures)
 
+    def test_inverted_face_alone_rejected(self, unit_sphere):
+        # each path that takes face 5 on its own checks the fold too
+        mesh = self.inverted_mesh(unit_sphere)
+        with pytest.raises(IntegrationError) as err:
+            sq.integrate_surface(FlatMesh(mesh.vertices, mesh.faces[5:6]),
+                                 unit_sphere, lambda p: np.ones(p.shape[:-1]),
+                                 2, sq.builtin_rule(12))
+        assert [(face, type(e), str(e)) for face, e in err.value.failures] == [
+            (0, DegenerateJacobian, _FOLDED)]
+        with pytest.raises(DegenerateJacobian, match=re.escape(_FOLDED)):
+            sq.build_element(unit_sphere, mesh.vertices[mesh.faces[5]], 2)
+
 
 class TestElementDiameter:
     def test_unit_right_triangle(self):
-        surf = plane_surface()
         tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        el = sq.build_element(surf, tri, 1)
-        assert sq.element_diameter(el) == pytest.approx(math.sqrt(2.0))
+        assert sq.mesh_size(FlatMesh(tri, [[0, 1, 2]])) == pytest.approx(
+            math.sqrt(2.0))
 
     def test_halves_under_bisection(self, unit_sphere):
         mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)
         child = sq.bisect(mesh)
-        el0 = sq.build_element(unit_sphere, mesh.vertices[mesh.faces[0]], 1)
-        el1 = sq.build_element(unit_sphere, child.vertices[child.faces[0]], 1)
-        assert sq.element_diameter(el1) == pytest.approx(
-            sq.element_diameter(el0) / 2)
+        h0 = sq.mesh_size(FlatMesh(mesh.vertices, mesh.faces[0:1]))
+        h1 = sq.mesh_size(FlatMesh(child.vertices, child.faces[0:1]))
+        assert h1 == pytest.approx(h0 / 2)
 
 
 class TestWatertight:

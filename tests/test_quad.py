@@ -161,50 +161,55 @@ class TestComputedRules:
         assert worst <= 1e-15
 
 
+def one_face(tri):
+    """The one-face mesh of a (3, 3) triangle: a single element."""
+    return FlatMesh(tri, [[0, 1, 2]])
+
+
 class TestIntegrateElement:
     def test_constant_over_flat_unit_right_triangle(self):
         surf = plane_surface()
         tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        el = sq.build_element(surf, tri, 1)
-        got = sq.integrate_element(el, lambda p: np.ones(p.shape[:-1]),
-                                   sq.builtin_rule(4))
+        got = sq.integrate_surface(one_face(tri), surf,
+                                   lambda p: np.ones(p.shape[:-1]), 1,
+                                   sq.builtin_rule(4), mode=MODE_EXACT).value
         assert got == pytest.approx(0.5, rel=1e-14)
 
     def test_modes_agree_for_affine_integrand_flat_element(self):
         surf = plane_surface()
         tri = np.array([[0.2, -0.1, 0.0], [1.3, 0.4, 0.0], [0.5, 1.1, 0.0]])
-        el = sq.build_element(surf, tri, 2)
         f = lambda p: 2.0 * p[..., 0] - 3.0 * p[..., 1] + 0.5
         rule = sq.builtin_rule(8)
-        exact = sq.integrate_element(el, f, rule, mode=MODE_EXACT)
-        interp = sq.integrate_element(el, f, rule, mode=MODE_INTERP)
+        exact, interp = (sq.integrate_surface(one_face(tri), surf, f, 2, rule,
+                                              mode=mode).value
+                         for mode in (MODE_EXACT, MODE_INTERP))
         assert interp == pytest.approx(exact, abs=1e-12)
 
     def test_interp_samples_only_projected_nodes(self, unit_sphere):
         # integrand defined strictly on the surface: blows up off it
         tri = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        el = sq.build_element(unit_sphere, tri, 3)
 
         def on_surface_only(p):
             r = np.linalg.norm(p, axis=-1)
             assert np.max(np.abs(r - 1.0)) < 1e-9
             return np.ones(p.shape[:-1])
 
-        sq.integrate_element(el, on_surface_only, sq.builtin_rule(12),
-                             mode=MODE_INTERP)
-
+        sq.integrate_surface(one_face(tri), unit_sphere, on_surface_only, 3,
+                             sq.builtin_rule(12), mode=MODE_INTERP)
 
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
     def test_element_sum_matches_surface_integral(self, torus21, mode):
-        # the total is the correctly rounded sum of the per-element values
+        # the total is the correctly rounded sum of the per-element values,
+        # each that of the face taken alone
         rule = sq.builtin_rule(12)
         f = torus21.gauss_curvature
         mesh = sq.generate_base(torus21, "struct_torus", 1)
         for k, m in ((3, mesh), (2, sq.bisect(mesh))):
+            per_element = [
+                sq.integrate_surface(FlatMesh(m.vertices, m.faces[i:i + 1]),
+                                     torus21, f, k, rule, mode=mode).value
+                for i in range(m.n_faces)]
             batch = build_surface_elements(m, torus21, k)
-            per_element = [sq.integrate_element(batch.element(i), f, rule,
-                                                mode=mode)
-                           for i in range(batch.n_elements)]
             total = sq.integrate_surface(m, torus21, f, k, rule, mode=mode,
                                          batch=batch).value
             assert total == math.fsum(per_element), k
@@ -231,12 +236,15 @@ class TestIntegrateElement:
             np.flatnonzero(polar))
         assert all(isinstance(e, DegeneratePoint) for _, e in err.value.failures)
         for i in range(batch.n_elements):
+            alone = FlatMesh(mesh.vertices, mesh.faces[i:i + 1])
             if polar[i]:
-                with pytest.raises(DegeneratePoint):
-                    sq.integrate_element(batch.element(i), f, rule, mode=mode)
+                with pytest.raises(IntegrationError) as err:
+                    sq.integrate_surface(alone, unit_sphere, f, 2, rule, mode=mode)
+                assert [(face, type(e)) for face, e in err.value.failures] == [
+                    (0, DegeneratePoint)]
             else:
-                assert math.isfinite(
-                    sq.integrate_element(batch.element(i), f, rule, mode=mode))
+                assert math.isfinite(sq.integrate_surface(
+                    alone, unit_sphere, f, 2, rule, mode=mode).value)
 
 
 class TestIntegrateSurface:

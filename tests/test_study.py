@@ -1,11 +1,14 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import surfquad as sq
 from surfquad import study
 from surfquad.errors import InsufficientData
+from surfquad.quad import MODE_EXACT
 from surfquad.study import (ConvergenceReport, ConvergenceRow, convergence_csv,
                             convergence_json, error_metric, fit_slope,
                             lebesgue_csv, runge_csv)
@@ -148,6 +151,27 @@ class TestRunRunge:
         conv = study.run_convergence(surf, "struct_torus", 1, 1,
                                      "gauss_curvature", 0)
         assert runge.rows[0].error == conv.rows[0].error
+
+    def test_only_conditioning_warnings_hidden(self):
+        # the cond_warning column reports the basis condition; any other
+        # warning, here the curvature's off the surface, still shows
+        def curvature(p):
+            r = np.linalg.norm(p, axis=-1)
+            if np.any(np.abs(r - 1.0) > 1e-9):
+                warnings.warn("curvature off the sphere", RuntimeWarning)
+            return np.ones(r.shape)
+
+        surf = sq.from_level_set(
+            phi=lambda p: np.einsum("...i,...i->...", p, p) - 1.0,
+            grad_phi=lambda p: 2.0 * np.asarray(p, dtype=float),
+            gauss_curvature=curvature, euler_characteristic=2)
+        mesh = sq.generate_base(sq.sphere(1.0), "octa_sphere", 1)
+        with pytest.warns(RuntimeWarning, match="off the sphere") as record:
+            rep = study.run_runge(surf, mesh, [1, 12], "gauss_curvature",
+                                  mode=MODE_EXACT)
+        assert not [w for w in record
+                    if issubclass(w.category, sq.IllConditionedWarning)]
+        assert [r.cond_warning for r in rep.rows] == [False, True]
 
     def test_rows_sorted_and_validated(self):
         surf = sq.sphere(1.0)
