@@ -25,9 +25,8 @@ from .refmesh import (FlatMesh, MeshStats, bisect, euler_characteristic,
 from .study import (ConvergenceReport, ConvergenceRow, RungeReport, RungeRow,
                     error_metric, exact_target, fit_slope, run_convergence,
                     run_runge)
-from .surfaces import (ImplicitSurface, ProjectionResult, ellipsoid,
-                       from_level_set, gauss_curvature_at, parse_surface,
-                       project, project_many, sphere, surface_area_exact,
+from .surfaces import (ImplicitSurface, ellipsoid, from_level_set,
+                       parse_surface, project_many, sphere, surface_area_exact,
                        torus)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .curved import build_surface_elements, face_blocks, merged_failures
 from .errors import IntegrationError, SurfquadError
 from .interp import cheb_lebesgue, lagrange_basis, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
-from .refmesh import bisect, generate_base, mesh_size, write_off
+from .refmesh import KINDS, bisect, generate_base, mesh_size, write_off
 from .surfaces import parse_surface
 
 _MODES = {"exact": MODE_EXACT, "interp": MODE_INTERP}
@@ -44,7 +44,7 @@ def _add_common(p, *, levels_default=3, with_k=True, with_rule=True):
                    help="surface spec, e.g. sphere:R=1 | torus:R=2,r=1 | "
                         "ellipsoid:a=1,b=1,c=0.6")
     p.add_argument("--kind", required=True,
-                   choices=["octa_sphere", "struct_torus", "scaled_ellipsoid"],
+                   choices=list(KINDS),
                    help="base mesh generator")
     p.add_argument("--res", type=_ranged_int("--res", 1, 64), default=1,
                    help="base mesh resolution (default 1)")

@@ -1,6 +1,10 @@
 """Flat conforming triangulations: base-mesh generators, bisection, census, OFF I/O.
 
-Base meshes have every vertex on the target surface.  Bisection refines with
+Base meshes have every vertex on the target surface.  ``KINDS`` is the one
+table of mesh kinds and the surface each is made for.  The octahedral kinds
+share one integer lattice, built with array operations, and number its
+vertices by first appearance with ``_first_appearance``, the rule
+``edge_table`` numbers edges by.  Bisection refines with
 exact flat edge midpoints and does NOT re-project the new vertices: the fine
 vertices parametrize the macro triangles and keep the point-symmetric child
 pairs that ``symmetry_census`` counts.  ``project_vertices`` re-projects every
@@ -34,8 +38,6 @@ class FlatMesh:
 
     vertices: np.ndarray          # (V, 3) float
     faces: np.ndarray             # (F, 3) int
-    level: int = 0                # refinement generation
-    parent_face: Optional[np.ndarray] = None   # (F,) int into previous level
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
@@ -100,12 +102,24 @@ def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     faces = np.asarray(faces, dtype=np.int64)
     pairs = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1)
                     .reshape(-1, 2), axis=1)
-    key = pairs[:, 0] * (int(pairs.max(initial=0)) + 1) + pairs[:, 1]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    first, ids = _first_appearance(
+        pairs[:, 0] * (int(pairs.max(initial=0)) + 1) + pairs[:, 1])
+    return pairs[first], ids.reshape(-1, 3)
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of a 1-D key array by first appearance.
+
+    Returns ``(first, ids)``: ``first`` holds the index of each distinct
+    value's first occurrence, in increasing order, and ``ids`` the number of
+    every key's value, so ``keys[first][ids] == keys``.  Edges and the
+    octahedral lattice's vertices are numbered by this one rule.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return pairs[first[order]], rank[inverse].reshape(-1, 3)
+    return first[order], rank[inverse]
 
 
 def euler_characteristic(mesh: FlatMesh) -> int:
@@ -128,122 +142,84 @@ def is_conforming_closed(mesh: FlatMesh) -> bool:
 # base-mesh generators
 # ---------------------------------------------------------------------------
 
-_OCTA_CORNERS = np.array([
-    [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
-    [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
-])
+# each base-mesh kind and the surface it is made for; ``cli`` offers these
+KINDS = {"octa_sphere": "sphere", "struct_torus": "torus",
+         "scaled_ellipsoid": "ellipsoid"}
+
+_OCTA_CORNERS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                          [0, 0, 1], [0, 0, -1]])
+# the 8 octant faces, counterclockwise from outside
+_OCTA_FACES = np.array([[0, 2, 4], [0, 5, 2], [0, 4, 3], [0, 3, 5],
+                        [1, 4, 2], [1, 2, 5], [1, 3, 4], [1, 5, 3]])
 
 
-def _octa_faces():
-    """The 8 octant faces of the octahedron, counterclockwise from outside."""
-    faces = []
-    for sx in (0, 1):
-        for sy in (2, 3):
-            for sz in (4, 5):
-                parity = (sx + (sy - 2) + (sz - 4)) % 2
-                if parity == 0:
-                    faces.append((sx, sy, sz))
-                else:
-                    faces.append((sx, sz, sy))
-    return faces
+def _subdivided_octa(res: int):
+    """Octahedron with each face split into res^2 lattice triangles.
 
-
-def _subdivided_octa(resolution: int):
-    """Octahedron with each face split into resolution^2 lattice triangles.
-
-    Vertices are deduplicated through exact integer barycentric keys, so
-    shared vertices are computed once and bit-identical across faces.
+    Point (i, j), i + j <= res, of face (c0, c1, c2) has the integer
+    coordinates ``(res-i-j)*c0 + i*c1 + j*c2``; vertices are numbered by
+    first appearance over the faces in order, each face's points in
+    lexicographic order, so a point shared by faces is one vertex
+    ``coords / res``.  Cell (i, j) gives its up triangle (i,j), (i+1,j),
+    (i,j+1), then its down triangle (i+1,j), (i+1,j+1), (i,j+1) when
+    i + j < res - 1.
     """
-    res = resolution
-    key_to_index = {}
-    verts = []
+    i, j = np.nonzero(np.add.outer(np.arange(res + 1), np.arange(res + 1)) <= res)
+    coords = (np.stack([res - i - j, i, j], axis=1)
+              @ _OCTA_CORNERS[_OCTA_FACES]).reshape(-1, 3)
+    first, ids = _first_appearance((coords + res) @ (2 * res + 1) ** np.arange(3))
+    point = np.zeros((res + 1, res + 1), dtype=np.int64)
+    point[i, j] = np.arange(len(i))
+    ci, cj = i[i + j < res], j[i + j < res]
+    p00, p10, p01, p11 = (point[ci, cj], point[ci + 1, cj], point[ci, cj + 1],
+                          point[ci + 1, cj + 1])
+    cells = np.stack([p00, p10, p01, p10, p11, p01], axis=1).reshape(-1, 3)
+    cells = cells[np.stack([ci + cj < res, ci + cj < res - 1], axis=1).ravel()]
+    return coords[first] / res, ids.reshape(8, -1)[:, cells].reshape(-1, 3)
 
-    def vertex_index(weights):
-        # weights: tuple of (corner id, integer numerator) with nonzero weight
-        key = tuple(sorted(weights))
-        idx = key_to_index.get(key)
-        if idx is None:
-            p = np.zeros(3)
-            for cid, w in key:
-                p += (w / res) * _OCTA_CORNERS[cid]
-            idx = len(verts)
-            verts.append(p)
-            key_to_index[key] = idx
-        return idx
 
-    faces = []
-    for c0, c1, c2 in _octa_faces():
-        grid = {}
-        for i in range(res + 1):
-            for j in range(res + 1 - i):
-                w = [(c0, res - i - j), (c1, i), (c2, j)]
-                grid[(i, j)] = vertex_index(tuple((c, n) for c, n in w if n > 0))
-        for i in range(res):
-            for j in range(res - i):
-                faces.append((grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]))
-                if i + j < res - 1:
-                    faces.append((grid[(i + 1, j)], grid[(i + 1, j + 1)],
-                                  grid[(i, j + 1)]))
-    return np.array(verts), np.array(faces, dtype=np.int64)
+def _struct_torus(R: float, r: float, n: int):
+    """n x n angular grid; cell (i, j) is split along its diagonal from
+    (i, j) when i + j is even, else along the other one."""
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    phi_a = 2.0 * math.pi * ii.ravel() / n      # major angle
+    theta = 2.0 * math.pi * jj.ravel() / n      # minor angle
+    ring = R + r * np.cos(theta)
+    verts = np.column_stack([ring * np.cos(phi_a), ring * np.sin(phi_a),
+                             r * np.sin(theta)])
+    i, j = ii.ravel(), jj.ravel()
+    v00, v10 = i * n + j, (i + 1) % n * n + j
+    v01, v11 = i * n + (j + 1) % n, (i + 1) % n * n + (j + 1) % n
+    even = np.stack([v00, v10, v11, v00, v11, v01], axis=1)
+    odd = np.stack([v00, v10, v01, v10, v11, v01], axis=1)
+    return verts, np.where(((i + j) % 2 == 0)[:, None], even, odd).reshape(-1, 3)
 
 
 def generate_base(surface: ImplicitSurface, kind: str, resolution: int) -> FlatMesh:
     """Deterministic base triangulation with all vertices on the surface.
 
-    kinds: ``octa_sphere`` (subdivided octahedron, radially projected),
-    ``struct_torus`` ((4*res)^2 angular grid with checkerboard diagonals),
-    ``scaled_ellipsoid`` (octa_sphere stretched onto the ellipsoid axes).
+    kinds (``KINDS`` names each one's surface): ``octa_sphere`` (subdivided
+    octahedron, radially projected), ``struct_torus`` ((4*res)^2 angular grid
+    with checkerboard diagonals), ``scaled_ellipsoid`` (octa_sphere stretched
+    onto the ellipsoid axes).
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-
-    if kind == "octa_sphere":
-        if surface.name != "sphere":
-            raise TopologyMismatch(f"octa_sphere requires a sphere, got {surface.name}")
-        verts, faces = _subdivided_octa(resolution)
-        R = surface.params["R"]
-        verts = verts * (R / np.linalg.norm(verts, axis=1))[:, None]
-        return FlatMesh(verts, faces, level=0)
-
-    if kind == "scaled_ellipsoid":
-        if surface.name != "ellipsoid":
-            raise TopologyMismatch(
-                f"scaled_ellipsoid requires an ellipsoid, got {surface.name}")
-        verts, faces = _subdivided_octa(resolution)
-        verts = verts / np.linalg.norm(verts, axis=1)[:, None]
-        axes = np.array([surface.params["a"], surface.params["b"], surface.params["c"]])
-        return FlatMesh(verts * axes, faces, level=0)
+    if kind not in KINDS:
+        raise ValueError(f"unknown mesh kind {kind!r}")
+    if surface.name != KINDS[kind]:
+        raise TopologyMismatch(
+            f"{kind} requires the {KINDS[kind]} surface, got {surface.name}")
 
     if kind == "struct_torus":
-        if surface.name != "torus":
-            raise TopologyMismatch(f"struct_torus requires a torus, got {surface.name}")
-        R, r = surface.params["R"], surface.params["r"]
-        n = 4 * resolution
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        phi_a = 2.0 * math.pi * ii.ravel() / n      # major angle
-        theta = 2.0 * math.pi * jj.ravel() / n      # minor angle
-        ring = R + r * np.cos(theta)
-        verts = np.column_stack([ring * np.cos(phi_a), ring * np.sin(phi_a),
-                                 r * np.sin(theta)])
-
-        def vid(i, j):
-            return (i % n) * n + (j % n)
-
-        faces = []
-        for i in range(n):
-            for j in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                if (i + j) % 2 == 0:
-                    faces.append((v00, v10, v11))
-                    faces.append((v00, v11, v01))
-                else:
-                    faces.append((v00, v10, v01))
-                    faces.append((v10, v11, v01))
-        return FlatMesh(verts, np.array(faces, dtype=np.int64), level=0)
-
-    raise ValueError(f"unknown mesh kind {kind!r}")
+        return FlatMesh(*_struct_torus(surface.params["R"], surface.params["r"],
+                                       4 * resolution))
+    verts, faces = _subdivided_octa(resolution)
+    norm = np.linalg.norm(verts, axis=1)
+    if kind == "octa_sphere":
+        return FlatMesh(verts * (surface.params["R"] / norm)[:, None], faces)
+    axes = np.array([surface.params[a] for a in "abc"])
+    return FlatMesh(verts / norm[:, None] * axes, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +231,9 @@ def bisect(mesh: FlatMesh) -> FlatMesh:
 
     Shared-edge midpoints are deduplicated, so the result is conforming and
     midpoint coordinates are bitwise shared between neighbors.  New vertices
-    are NOT projected back to the surface.
+    are NOT projected back to the surface.  The children of face i are faces
+    4i .. 4i+3, so base face i's descendants after L levels are faces
+    i*4^L .. (i+1)*4^L - 1.
     """
     edges, side_edge = mesh.edges
     v = mesh.vertices
@@ -264,14 +242,13 @@ def bisect(mesh: FlatMesh) -> FlatMesh:
     mab, mbc, mca = (mesh.n_vertices + side_edge).T
     children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
                         axis=1).reshape(-1, 3)
-    return FlatMesh(np.concatenate([v, mids]), children, level=mesh.level + 1,
-                    parent_face=np.repeat(np.arange(mesh.n_faces), 4))
+    return FlatMesh(np.concatenate([v, mids]), children)
 
 
 def project_vertices(mesh: FlatMesh, surface: ImplicitSurface) -> FlatMesh:
     """Re-project every vertex onto the surface (breaks pair symmetry)."""
     proj, _, _, _ = project_many(surface, mesh.vertices)
-    return FlatMesh(proj, mesh.faces, level=mesh.level, parent_face=mesh.parent_face)
+    return FlatMesh(proj, mesh.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +361,7 @@ def read_off(path) -> FlatMesh:
         faces = _face_lines(raw, nv, nf)
     else:
         faces = faces[:, 1:]
-    return FlatMesh(verts, faces, level=0)
+    return FlatMesh(verts, faces)
 
 
 def _parse_block(lines, dtype, columns) -> Optional[np.ndarray]:

@@ -49,20 +49,10 @@ class ImplicitSurface:
     hess_phi: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Outcome of projecting a single point onto the surface."""
-
-    point: np.ndarray
-    distance: float
-    iterations: int
-    residual: float
-
-
 def sphere(radius: float = 1.0) -> ImplicitSurface:
     """Sphere of given radius centered at the origin."""
-    if radius <= 0:
-        raise ValueError(f"sphere requires R > 0, got R={radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"sphere requires a finite R > 0, got R={radius}")
     r2 = radius * radius
 
     def phi(p):
@@ -107,8 +97,8 @@ def torus(major_radius: float = 2.0, minor_radius: float = 1.0) -> ImplicitSurfa
     Level set: (x^2 + y^2 + z^2 + R^2 - r^2)^2 - 4 R^2 (x^2 + y^2).
     """
     R, r = float(major_radius), float(minor_radius)
-    if not 0 < r < R:
-        raise ValueError(f"torus requires 0 < r < R, got R={R}, r={r}")
+    if not (0 < r < R and math.isfinite(R)):
+        raise ValueError(f"torus requires 0 < r < R, R finite, got R={R}, r={r}")
 
     def phi(p):
         p = np.asarray(p, dtype=float)
@@ -174,8 +164,8 @@ def torus(major_radius: float = 2.0, minor_radius: float = 1.0) -> ImplicitSurfa
 def ellipsoid(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> ImplicitSurface:
     """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1."""
     a, b, c = float(a), float(b), float(c)
-    if min(a, b, c) <= 0:
-        raise ValueError(f"ellipsoid requires a,b,c > 0, got a={a}, b={b}, c={c}")
+    if not all(math.isfinite(x) and x > 0 for x in (a, b, c)):
+        raise ValueError(f"ellipsoid requires finite a,b,c > 0, got a={a}, b={b}, c={c}")
     inv2 = np.array([1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c)])
     inv4 = inv2 * inv2
     abc2 = (a * b * c) ** 2
@@ -278,11 +268,6 @@ def parse_surface(spec: str) -> ImplicitSurface:
     if unknown:
         raise ValueError(f"unknown parameter(s) {sorted(unknown)} for surface {name!r}")
     return maker(**{keymap[k]: v for k, v in kv.items()})
-
-
-def gauss_curvature_at(surface: ImplicitSurface, p) -> float:
-    """Gaussian curvature at a point on (or near) the surface."""
-    return float(surface.gauss_curvature(np.asarray(p, dtype=float)))
 
 
 def surface_area_exact(surface: ImplicitSurface) -> Optional[float]:
@@ -450,10 +435,3 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
         iters[ia] += 1
         active[ia] = rnorm[ia] > TOL * scale[ia]
     return y, iters, rnorm, active
-
-
-def project(surface: ImplicitSurface, x) -> ProjectionResult:
-    """Closest point on the surface to ``x`` (single point)."""
-    pts, dist, iters, resid = project_many(surface, np.asarray(x, dtype=float)[None, :])
-    return ProjectionResult(point=pts[0], distance=float(dist[0]),
-                            iterations=int(iters[0]), residual=float(resid[0]))

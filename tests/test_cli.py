@@ -9,6 +9,7 @@ import pytest
 
 import surfquad as sq
 from surfquad.cli import build_parser, main
+from surfquad.refmesh import KINDS
 
 
 def cli_process(*args, **env):
@@ -67,6 +68,33 @@ class TestParsing:
                  "--rule-degree 4".split())
         assert exc.value.code == 2
         assert "unrecognized arguments: --rule-degree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mesh", "integrate"])
+    @pytest.mark.parametrize("spec, kind", [
+        ("sphere:R=nan", "octa_sphere"), ("sphere:R=inf", "octa_sphere"),
+        ("ellipsoid:a=nan,b=1,c=1", "scaled_ellipsoid"),
+        ("torus:R=inf,r=1", "struct_torus"),
+    ])
+    def test_non_finite_surface_parameter_exits_2(self, tmp_path, capsys,
+                                                  command, spec, kind):
+        # a NaN radius used to write an OFF file of 'nan nan nan' vertices
+        out = tmp_path / "x.off"
+        with pytest.raises(SystemExit) as exc:
+            main(f"{command} --surface {spec} --kind {kind} --res 1 --levels 0 "
+                 f"--out {out}".split())
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kind_choices_from_table(self):
+        parser = build_parser()
+        for kind in KINDS:
+            args = parser.parse_args(f"mesh --surface sphere:R=1 --kind {kind} "
+                                     "--out x.off".split())
+            assert args.kind == kind
+        with pytest.raises(SystemExit):
+            parser.parse_args("mesh --surface sphere:R=1 --kind icosahedron "
+                              "--out x.off".split())
 
     def test_unknown_surface_key_exits_2(self):
         with pytest.raises(SystemExit) as exc:

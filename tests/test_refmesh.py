@@ -3,7 +3,7 @@ import pytest
 
 import surfquad as sq
 from surfquad.errors import NonTriangleFace, ParseError, TopologyMismatch
-from surfquad.refmesh import FlatMesh, MeshStats, mesh_size
+from surfquad.refmesh import KINDS, FlatMesh, MeshStats, mesh_size
 
 
 @pytest.fixture()
@@ -57,19 +57,109 @@ class TestGenerators:
         assert any(np.allclose(v, [2.0, 0.0, 0.0]) for v in m.vertices)
         assert np.max(np.abs(e.phi(m.vertices))) <= 1e-12
 
-    def test_topology_mismatch(self, unit_sphere, torus21):
-        with pytest.raises(TopologyMismatch):
-            sq.generate_base(torus21, "octa_sphere", 1)
-        with pytest.raises(TopologyMismatch):
-            sq.generate_base(unit_sphere, "struct_torus", 1)
-        with pytest.raises(TopologyMismatch):
-            sq.generate_base(unit_sphere, "scaled_ellipsoid", 1)
+    def test_topology_mismatch(self, unit_sphere, torus21, flat_ellipsoid):
+        # every kind builds on the surface KINDS names for it and no other
+        assert list(KINDS) == ["octa_sphere", "struct_torus", "scaled_ellipsoid"]
+        for kind, name in KINDS.items():
+            for surface in (unit_sphere, torus21, flat_ellipsoid):
+                if surface.name == name:
+                    assert sq.is_conforming_closed(sq.generate_base(surface, kind, 2))
+                else:
+                    with pytest.raises(TopologyMismatch):
+                        sq.generate_base(surface, kind, 2)
 
     def test_bad_resolution_and_kind(self, unit_sphere):
         with pytest.raises(ValueError):
             sq.generate_base(unit_sphere, "octa_sphere", 0)
         with pytest.raises(ValueError):
             sq.generate_base(unit_sphere, "icosahedron", 1)
+
+
+def _subdivided_octa_reference(res):
+    """Integer barycentric keys deduplicated through a dict, face by face and
+    lattice point by lattice point."""
+    corners = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    octants = []
+    for sx in (0, 1):
+        for sy in (2, 3):
+            for sz in (4, 5):
+                even = (sx + (sy - 2) + (sz - 4)) % 2 == 0
+                octants.append((sx, sy, sz) if even else (sx, sz, sy))
+    key_to_index, verts, faces = {}, [], []
+
+    def vertex_index(weights):
+        key = tuple(sorted(weights))
+        if key not in key_to_index:
+            p = np.zeros(3)
+            for cid, w in key:
+                p += (w / res) * corners[cid]
+            key_to_index[key] = len(verts)
+            verts.append(p)
+        return key_to_index[key]
+
+    for c0, c1, c2 in octants:
+        grid = {}
+        for i in range(res + 1):
+            for j in range(res + 1 - i):
+                w = [(c0, res - i - j), (c1, i), (c2, j)]
+                grid[(i, j)] = vertex_index(tuple((c, n) for c, n in w if n > 0))
+        for i in range(res):
+            for j in range(res - i):
+                faces.append((grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]))
+                if i + j < res - 1:
+                    faces.append((grid[(i + 1, j)], grid[(i + 1, j + 1)],
+                                  grid[(i, j + 1)]))
+    return np.array(verts), np.array(faces)
+
+
+def _base_reference(surface, kind, res):
+    """Base meshes as a per-vertex and per-cell loop builds them."""
+    if kind == "struct_torus":
+        R, r = surface.params["R"], surface.params["r"]
+        n = 4 * res
+        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        phi_a = 2.0 * np.pi * ii.ravel() / n
+        theta = 2.0 * np.pi * jj.ravel() / n
+        ring = R + r * np.cos(theta)
+        verts = np.column_stack([ring * np.cos(phi_a), ring * np.sin(phi_a),
+                                 r * np.sin(theta)])
+
+        def vid(i, j):
+            return (i % n) * n + (j % n)
+
+        faces = []
+        for i in range(n):
+            for j in range(n):
+                v00, v10 = vid(i, j), vid(i + 1, j)
+                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+                if (i + j) % 2 == 0:
+                    faces += [(v00, v10, v11), (v00, v11, v01)]
+                else:
+                    faces += [(v00, v10, v01), (v10, v11, v01)]
+        return verts, np.array(faces)
+    verts, faces = _subdivided_octa_reference(res)
+    if kind == "octa_sphere":
+        return verts * (surface.params["R"] / np.linalg.norm(verts, axis=1))[:, None], faces
+    verts = verts / np.linalg.norm(verts, axis=1)[:, None]
+    axes = np.array([surface.params["a"], surface.params["b"], surface.params["c"]])
+    return verts * axes, faces
+
+
+class TestBaseNumbering:
+    # OFF bytes depend on the vertex and face numbering of the base mesh
+    @pytest.mark.parametrize("kind, surface", [
+        ("octa_sphere", sq.sphere(1.0)), ("octa_sphere", sq.sphere(2.5)),
+        ("struct_torus", sq.torus(2.0, 1.0)), ("struct_torus", sq.torus(3.0, 0.7)),
+        ("scaled_ellipsoid", sq.ellipsoid(1.0, 1.0, 0.6)),
+        ("scaled_ellipsoid", sq.ellipsoid(1.3, 0.9, 0.6)),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v.params.values())))
+    def test_matches_reference_loop(self, kind, surface):
+        for res in range(1, 9):
+            verts, faces = _base_reference(surface, kind, res)
+            m = sq.generate_base(surface, kind, res)
+            assert m.vertices.tobytes() == verts.tobytes()
+            assert np.array_equal(m.faces, faces)
 
 
 class TestConformity:
@@ -115,7 +205,7 @@ def _bisect_reference(mesh):
     for a, b, c in mesh.faces.tolist():
         ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
         faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    return np.array(verts), np.array(faces), np.repeat(np.arange(mesh.n_faces), 4)
+    return np.array(verts), np.array(faces)
 
 
 class TestBisect:
@@ -131,18 +221,16 @@ class TestBisect:
             m = FlatMesh(m.vertices,
                          m.faces[np.random.default_rng(7).permutation(m.n_faces)])
         for _ in range(2):
-            verts, faces, parents = _bisect_reference(m)
+            verts, faces = _bisect_reference(m)
             m = sq.bisect(m)
             assert np.array_equal(m.vertices, verts)
             assert np.array_equal(m.faces, faces)
-            assert np.array_equal(m.parent_face, parents)
 
     def test_face_count_powers(self, unit_sphere):
         m = sq.generate_base(unit_sphere, "octa_sphere", 1)
         for level in range(1, 4):
             m = sq.bisect(m)
             assert m.n_faces == 8 * 4**level
-            assert m.level == level
 
     def test_h_exactly_halves(self, torus21):
         m = sq.generate_base(torus21, "struct_torus", 2)
@@ -189,12 +277,6 @@ class TestBisect:
         for _ in range(2):
             m = sq.bisect(m)
         assert np.max(np.abs(np.abs(m.vertices).sum(axis=1) - 1.0)) < 1e-14
-
-    def test_parent_face_lineage(self, unit_sphere):
-        m0 = sq.generate_base(unit_sphere, "octa_sphere", 1)
-        m1 = sq.bisect(m0)
-        assert m1.parent_face is not None
-        assert np.array_equal(np.repeat(np.arange(8), 4), m1.parent_face)
 
     def test_project_vertices_restores_surface(self, unit_sphere):
         m = sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 1))

@@ -12,65 +12,71 @@ from surfquad.errors import DegeneratePoint, NoConvergence, OutsideTube
 from conftest import torus_points
 
 
+def project_one(surface, x):
+    """``project_many`` on the batch of one point: (point, distance)."""
+    pts, dist, _, _ = sq.project_many(surface, np.asarray(x, dtype=float)[None])
+    return pts[0], dist[0]
+
+
 class TestProjection:
     def test_sphere_radial(self, unit_sphere):
-        res = sq.project(unit_sphere, [2.0, 0.0, 0.0])
-        assert np.allclose(res.point, [1.0, 0.0, 0.0])
-        assert res.distance == pytest.approx(1.0)
+        point, distance = project_one(unit_sphere, [2.0, 0.0, 0.0])
+        assert np.allclose(point, [1.0, 0.0, 0.0])
+        assert distance == pytest.approx(1.0)
 
     def test_torus_major_plane(self, torus21):
-        res = sq.project(torus21, [3.5, 0.0, 0.0])
-        assert np.allclose(res.point, [3.0, 0.0, 0.0])
-        assert res.distance == pytest.approx(0.5)
+        point, distance = project_one(torus21, [3.5, 0.0, 0.0])
+        assert np.allclose(point, [3.0, 0.0, 0.0])
+        assert distance == pytest.approx(0.5)
 
     def test_ellipsoid_axis_point(self):
         e = sq.ellipsoid(2.0, 1.0, 1.0)
-        res = sq.project(e, [3.0, 0.0, 0.0])
-        assert np.allclose(res.point, [2.0, 0.0, 0.0], atol=1e-12)
+        point, _ = project_one(e, [3.0, 0.0, 0.0])
+        assert np.allclose(point, [2.0, 0.0, 0.0], atol=1e-12)
 
     def test_generic_newton_matches_analytic_sphere(self):
         gen = sq.from_level_set(
             phi=lambda p: np.einsum("...i,...i->...", p, p) - 1.0,
             grad_phi=lambda p: 2.0 * np.asarray(p, dtype=float))
         x = np.array([0.3, 0.4, 0.5])
-        res = sq.project(gen, x)
-        assert np.linalg.norm(res.point - x / np.linalg.norm(x)) <= 1e-12
+        point, _ = project_one(gen, x)
+        assert np.linalg.norm(point - x / np.linalg.norm(x)) <= 1e-12
 
     def test_signed_distance_inside_negative(self, unit_sphere):
-        res = sq.project(unit_sphere, [0.25, 0.0, 0.0])
-        assert res.distance == pytest.approx(-0.75)
+        _, distance = project_one(unit_sphere, [0.25, 0.0, 0.0])
+        assert distance == pytest.approx(-0.75)
 
     def test_idempotence(self, torus21, rng):
         for _ in range(20):
-            x = sq.project(torus21, rng.normal(size=3) + [2.5, 0, 0]).point
-            again = sq.project(torus21, x)
-            assert np.linalg.norm(again.point - x) <= 10 * 1e-13
+            x, _ = project_one(torus21, rng.normal(size=3) + [2.5, 0, 0])
+            again, _ = project_one(torus21, x)
+            assert np.linalg.norm(again - x) <= 10 * 1e-13
 
     def test_newton_idempotence(self, flat_ellipsoid, rng):
         for _ in range(10):
             seed = rng.normal(size=3) * 0.1 + [1.0, 0.1, 0.1]
-            x = sq.project(flat_ellipsoid, seed).point
-            again = sq.project(flat_ellipsoid, x)
-            assert np.linalg.norm(again.point - x) <= 10 * 1e-13
+            x, _ = project_one(flat_ellipsoid, seed)
+            again, _ = project_one(flat_ellipsoid, x)
+            assert np.linalg.norm(again - x) <= 10 * 1e-13
 
     def test_minimality_against_dense_sample(self, torus21, rng):
         # brute-force oracle: no sampled surface point may be closer
         sample = torus_points(2.0, 1.0, 100, 100)
         for _ in range(10):
             x = rng.normal(size=3) * 0.3 + [2.8, 0.3, 0.2]
-            res = sq.project(torus21, x)
+            point, _ = project_one(torus21, x)
             dmin = np.min(np.linalg.norm(sample - x, axis=1))
-            assert np.linalg.norm(res.point - x) <= dmin + 1e-9
+            assert np.linalg.norm(point - x) <= dmin + 1e-9
 
     def test_normal_alignment(self, flat_ellipsoid, rng):
         # sin of the angle via the cross product; acos cannot resolve < 1.5e-8
         for _ in range(20):
             x = rng.normal(size=3) * 0.2 + [0.9, 0.2, 0.1]
-            res = sq.project(flat_ellipsoid, x)
-            if abs(res.distance) <= 1e-6:
+            point, distance = project_one(flat_ellipsoid, x)
+            if abs(distance) <= 1e-6:
                 continue
-            v = x - res.point
-            g = flat_ellipsoid.grad_phi(res.point)
+            v = x - point
+            g = flat_ellipsoid.grad_phi(point)
             sinang = np.linalg.norm(np.cross(v, g)) / (
                 np.linalg.norm(v) * np.linalg.norm(g))
             assert sinang < 1e-8
@@ -82,15 +88,15 @@ class TestProjection:
 
     def test_outside_tube_center(self, unit_sphere):
         with pytest.raises(OutsideTube):
-            sq.project(unit_sphere, [0.0, 0.0, 0.0])
+            project_one(unit_sphere, [0.0, 0.0, 0.0])
 
     def test_outside_tube_torus_axis(self, torus21):
         with pytest.raises(OutsideTube):
-            sq.project(torus21, [0.0, 0.0, 0.5])
+            project_one(torus21, [0.0, 0.0, 0.5])
 
     def test_no_convergence_budget(self, flat_ellipsoid, one_iteration_projector):
         with pytest.raises(NoConvergence) as err:
-            sq.project(flat_ellipsoid, [0.9, 0.4, 0.3])
+            project_one(flat_ellipsoid, [0.9, 0.4, 0.3])
         assert err.value.iterations <= 1
         assert err.value.residual > 0
 
@@ -225,23 +231,24 @@ class TestProjectionBlocks:
 class TestCurvature:
     def test_sphere(self):
         s2 = sq.sphere(2.0)
-        for p in ([2, 0, 0], [0, 0, 2], [0, -2, 0]):
-            assert sq.gauss_curvature_at(s2, p) == pytest.approx(0.25)
+        pts = np.array([[2.0, 0, 0], [0, 0, 2], [0, -2, 0]])
+        assert s2.gauss_curvature(pts) == pytest.approx([0.25] * 3)
 
     def test_torus_outer_equator(self, torus21):
         # cos(0) / (r (R + r)) = 1/3 for R=2, r=1
-        assert sq.gauss_curvature_at(torus21, [3.0, 0.0, 0.0]) == pytest.approx(1.0 / 3.0)
+        assert torus21.gauss_curvature(np.array([[3.0, 0.0, 0.0]])) == pytest.approx(
+            [1.0 / 3.0])
 
     def test_torus_inner_equator_negative(self, torus21):
-        assert sq.gauss_curvature_at(torus21, [1.0, 0.0, 0.0]) == pytest.approx(-1.0)
+        assert torus21.gauss_curvature(np.array([[1.0, 0.0, 0.0]])) == pytest.approx([-1.0])
 
     def test_unit_ellipsoid_reduces_to_sphere(self):
         e = sq.ellipsoid(1.0, 1.0, 1.0)
-        assert sq.gauss_curvature_at(e, [1.0, 0.0, 0.0]) == pytest.approx(1.0)
+        assert e.gauss_curvature(np.array([[1.0, 0.0, 0.0]])) == pytest.approx([1.0])
 
     def test_torus_axis_degenerate(self, torus21):
         with pytest.raises(DegeneratePoint):
-            sq.gauss_curvature_at(torus21, [0.0, 0.0, 1.0])
+            torus21.gauss_curvature(np.array([[0.0, 0.0, 1.0]]))
 
     def test_gauss_bonnet_parametric_torus(self, torus21):
         # 2D parametric quadrature oracle: int K dS = int cos(theta) dtheta dphi = 0
@@ -370,6 +377,17 @@ class TestDescriptors:
             sq.sphere(0.0)
         with pytest.raises(ValueError):
             sq.ellipsoid(1.0, -1.0, 1.0)
+        # a NaN compares false with everything, so it must be named
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sq.sphere(bad)
+            with pytest.raises(ValueError, match="finite"):
+                sq.torus(bad, 1.0)
+            with pytest.raises(ValueError):
+                sq.torus(2.0, bad)
+            for axes in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    sq.ellipsoid(*axes)
 
     def test_euler_characteristics(self, unit_sphere, torus21, flat_ellipsoid):
         assert unit_sphere.euler_characteristic == 2
