@@ -9,16 +9,15 @@ targets.
 
 from .curved import (CurvedElement, ElementBatch, build_element,
                      build_surface_elements)
-from .errors import (DegenerateJacobian, DegeneratePoint, DimensionMismatch,
-                     IllConditionedWarning, InsufficientData, IntegrationError,
-                     NoConvergence, NonTriangleFace, OutsideTube, ParseError,
-                     StagnationWarning, SurfquadError, TopologyMismatch,
-                     UnsupportedDegree)
+from .errors import (DegenerateJacobian, DegeneratePoint, IllConditionedWarning,
+                     InsufficientData, IntegrationError, NoConvergence,
+                     NonTriangleFace, OutsideTube, ParseError, StagnationWarning,
+                     SurfquadError, TopologyMismatch, UnsupportedDegree)
 from .interp import (ChebGrid, LagrangeBasis, ReferenceNodeSet, cheb_grid,
                      cheb_lebesgue, equidistant_lebesgue, interp_gradient_defect,
                      lagrange_basis, lebesgue_formula, reference_nodes)
-from .quad import (MODE_EXACT, MODE_INTERP, IntegralResult, QuadratureRule,
-                   builtin_rule, integrate_surface, monomial_integral)
+from .quad import MODE_EXACT, MODE_INTERP, IntegralResult, integrate_surface
+from .quadrules import QuadratureRule, builtin_rule, monomial_integral
 from .refmesh import (FlatMesh, MeshStats, bisect, euler_characteristic,
                       generate_base, is_conforming_closed, mesh_size,
                       project_vertices, read_off, symmetry_census, write_off)

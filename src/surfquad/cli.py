@@ -20,8 +20,10 @@ from . import blocks, study, text
 from .curved import build_surface_elements, face_blocks, merged_failures
 from .errors import IntegrationError, SurfquadError
 from .interp import cheb_lebesgue, lagrange_basis, lebesgue_formula
-from .quad import MODE_EXACT, MODE_INTERP, builtin_rule, integrate_surface
-from .refmesh import KINDS, bisect, generate_base, mesh_size, write_off
+from .quad import MODE_EXACT, MODE_INTERP, integrate_surface
+from .quadrules import builtin_rule
+from .refmesh import (KINDS, bisect, generate_base, mesh_size, project_vertices,
+                      write_off)
 from .surfaces import parse_surface
 
 _MODES = {"exact": MODE_EXACT, "interp": MODE_INTERP}
@@ -169,10 +171,9 @@ def run(args, parser) -> int:
         surface = _surface_or_usage(parser, args.surface)
 
     if args.command == "mesh":
-        from .refmesh import project_vertices as reproject
         mesh = _refined_mesh(surface, args)
         if args.project_vertices:
-            mesh = reproject(mesh, surface)
+            mesh = project_vertices(mesh, surface)
         write_off(mesh, args.out)
         if args.curved_nodes:
             _write_curved_nodes(mesh, surface, args.k, args.curved_nodes)
@@ -197,7 +198,7 @@ def run(args, parser) -> int:
                                        threads=args.threads,
                                        reproject_vertices=args.project_vertices)
         _emit(study.convergence_csv(report) if args.format == "csv"
-              else study.convergence_json(report), args.out)
+              else study.report_json(report), args.out)
         return 0
 
     if args.command == "runge-study":
@@ -209,7 +210,7 @@ def run(args, parser) -> int:
                                  args.f, mode=_MODES[args.mode], rule=rule,
                                  threads=args.threads)
         _emit(study.runge_csv(report) if args.format == "csv"
-              else study.runge_json(report), args.out)
+              else study.report_json(report), args.out)
         return 0
 
     if args.command == "lebesgue":

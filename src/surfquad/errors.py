@@ -50,10 +50,6 @@ class NonTriangleFace(SurfquadError):
     """OFF file contains a face that is not a triangle."""
 
 
-class DimensionMismatch(SurfquadError):
-    """Nodal value array has the wrong length for the basis."""
-
-
 class DegenerateJacobian(SurfquadError):
     """Curved chart is not orientation-preserving: metric determinant <= 0, or
     a fold against the outward normal (inverted flat face or mesh too coarse)."""

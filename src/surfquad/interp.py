@@ -7,7 +7,10 @@ the equidistant lattice {(i/k, j/k) : i + j <= k}, ordered vertices first
 tables each node's place (corner, step along a side, or inside).  The basis
 is represented by monomial coefficients
 obtained from the generalized Vandermonde at the nodes; fine for the moderate
-degrees used here, with a condition-number warning past 1e12.
+degrees used here, with a condition-number warning past 1e12.  The program
+reads the basis through ``LagrangeBasis.tables`` (values and derivatives at
+rule points) and ``eval`` (values), and evaluates monomials only through
+``_monomial_matrix``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-from .errors import DimensionMismatch, IllConditionedWarning
+from .errors import IllConditionedWarning
+from .quadrules import builtin_rule
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -118,11 +122,6 @@ class LagrangeBasis:
         self._check_condition()
         return self._table(pts)
 
-    def eval_grad(self, pts) -> tuple[np.ndarray, np.ndarray]:
-        """(d/ds, d/dt) of every basis function at (..., 2) points."""
-        self._check_condition()
-        return self._table(pts, ds=1), self._table(pts, dt=1)
-
     def tables(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Basis values L (q, N) at (q, 2) reference points and the stacked
         derivative table D = [d/ds; d/dt]^T, (N, 2q) and contiguous.  The
@@ -132,14 +131,6 @@ class LagrangeBasis:
         self._check_condition(stacklevel=2)
         ds, dt = self._table(pts, ds=1), self._table(pts, dt=1)
         return self._table(pts), np.ascontiguousarray(np.concatenate([ds, dt]).T)
-
-    def interpolate(self, nodal_values, pts) -> np.ndarray:
-        """Evaluate the interpolant of (N, d) nodal data at (..., 2) points."""
-        vals = np.asarray(nodal_values, dtype=float)
-        if len(vals) != self.count:
-            raise DimensionMismatch(
-                f"expected {self.count} nodal values, got {len(vals)}")
-        return self.eval(pts) @ vals
 
 
 @functools.cache
@@ -154,31 +145,8 @@ def lagrange_basis(degree: int) -> LagrangeBasis:
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials in the monomial basis (used by the defect check)
+# the interpolation-gradient defect behind the even/odd gap
 # ---------------------------------------------------------------------------
-
-def poly_eval(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate sum_{a,b} coeffs[a, b] s^a t^b at (..., 2) points."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    deg = coeffs.shape[0] - 1
-    spow = pts[:, 0][:, None] ** np.arange(deg + 1)[None, :]
-    tpow = pts[:, 1][:, None] ** np.arange(deg + 1)[None, :]
-    return np.einsum("pa,ab,pb->p", spow, coeffs, tpow)
-
-
-def poly_grad(coeffs: np.ndarray):
-    """Coefficient arrays of (d/ds, d/dt) of a monomial-coefficient poly."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[0]
-    ds = np.zeros((n, n))
-    dt = np.zeros((n, n))
-    for a in range(1, n):
-        ds[a - 1, :] += a * coeffs[a, :]
-    for b in range(1, n):
-        dt[:, b - 1] += b * coeffs[:, b]
-    return ds, dt
-
 
 def random_poly(degree: int, rng: np.random.Generator) -> np.ndarray:
     """Random total-degree polynomial with coefficients in [-1, 1]."""
@@ -202,17 +170,19 @@ def interp_gradient_defect(degree: int,
         raise ValueError("degree must be in [1, 12]")
     coeffs = np.asarray(coeffs, dtype=float)
     basis = lagrange_basis(degree)
-    from .quad import builtin_rule
     rule = builtin_rule(min(12, degree + 2))
+    # p = sum coeffs[a, b] s^a t^b over every (a, b) of the coefficient array
+    powers = np.indices(coeffs.shape).reshape(2, -1).T
+    c = coeffs.ravel()
 
-    nodal = poly_eval(coeffs, basis.nodes)
-    ds_c, dt_c = poly_grad(coeffs)
-    pts, w = rule.points, rule.weights
-
-    bs, bt = basis.eval_grad(pts)
-    defect_s = poly_eval(ds_c, pts) - bs @ nodal
-    defect_t = poly_eval(dt_c, pts) - bt @ nodal
-    return float(w @ defect_s), float(w @ defect_t)
+    nodal = _monomial_matrix(powers, basis.nodes) @ c
+    exact = np.concatenate([_monomial_matrix(powers, rule.points, ds=1) @ c,
+                            _monomial_matrix(powers, rule.points, dt=1) @ c])
+    # the derivative table's columns of I_k p, like ``exact``: d/ds at every
+    # rule point, then d/dt
+    defect = (exact - nodal @ basis.tables(rule.points)[1]).reshape(2, -1)
+    defect_s, defect_t = defect @ rule.weights
+    return float(defect_s), float(defect_t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Fully symmetric triangle quadrature rules.
+"""Fully symmetric triangle quadrature rules: the generators, their polish
+and the rule API, ``builtin_rule`` with the monomial-moment oracle.
 
 Each rule is stored as orbit generators to about 6 digits: a centroid
 ``(w,)``, an S21 orbit ``(a, w)`` of the 3 points (1-2a, a, a) or an S111
 orbit ``(b, c, w)`` of the 6 points (1-b-c, b, c), with w the weight of each
 point; all weights are positive, all points interior.  ``polished_rule``
 restores full precision by Gauss-Newton on the moment equations, one path
-for every degree; ``quad.builtin_rule`` then checks the moment oracle.
+for every degree; ``builtin_rule`` then checks the moment oracle
+(``monomial_integral``) and caches the rule.
 
 Degrees 1-6 are the classic rules (Strang and Fix 1973; Dunavant, IJNME 21,
 1985).  The rest came from a random-start Levenberg-Marquardt fit to the
@@ -20,9 +22,13 @@ chart of the sphere's octant, this one by 4.6e-6.
 Points are (s, t) on {0 <= s <= 1, 0 <= t <= 1 - s}; weights sum to 1/2.
 """
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import UnsupportedDegree
 
 _GENERATORS = {
     1: ((0.5,),),
@@ -133,3 +139,45 @@ def _gauss_01(m: int, alpha: int):
     p, d, _ = recurrence(u)
     u = u - p / d
     return u, 1.0 / recurrence(u)[2]
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Positive-weight rule on the reference triangle, exact to ``degree``."""
+
+    degree: int
+    points: np.ndarray    # (n, 2)
+    weights: np.ndarray   # (n,), sums to 1/2
+
+
+def monomial_integral(a: int, b: int) -> float:
+    """Exact integral of s^a t^b over the reference triangle: a! b!/(a+b+2)!."""
+    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+def _verify_rule(rule: QuadratureRule) -> None:
+    """Abort if a built-in rule misses a monomial moment by 1e-14, relative."""
+    s, t = rule.points[:, 0], rule.points[:, 1]
+    if np.any(rule.weights <= 0.0):
+        raise AssertionError(f"degree-{rule.degree} rule has nonpositive weights")
+    if np.any(s <= 0.0) or np.any(t <= 0.0) or np.any(s + t >= 1.0):
+        raise AssertionError(f"degree-{rule.degree} rule has boundary/exterior points")
+    for a in range(rule.degree + 1):
+        for b in range(rule.degree + 1 - a):
+            got = float(rule.weights @ (s**a * t**b))
+            want = monomial_integral(a, b)
+            if not abs(got - want) <= 1e-14 * want:   # NaN fails too
+                raise AssertionError(
+                    f"degree-{rule.degree} rule fails on s^{a} t^{b}: "
+                    f"{got!r} vs {want!r}")
+
+
+@functools.cache
+def builtin_rule(degree: int) -> QuadratureRule:
+    """Embedded symmetric rule exact to the requested degree (1..12)."""
+    if type(degree) is not int or not 1 <= degree <= 12:   # not bool either
+        raise UnsupportedDegree(f"no embedded rule of degree {degree!r}")
+    pts, wts = polished_rule(degree)
+    rule = QuadratureRule(degree=degree, points=pts, weights=wts)
+    _verify_rule(rule)
+    return rule

@@ -1,15 +1,16 @@
 """Flat conforming triangulations: base-mesh generators, bisection, census, OFF I/O.
 
 Base meshes have every vertex on the target surface.  ``KINDS`` is the one
-table of mesh kinds and the surface each is made for.  The octahedral kinds
-share one integer lattice, built with array operations, and number its
-vertices by first appearance with ``_first_appearance``, the rule
-``edge_table`` numbers edges by.  Bisection refines with
-exact flat edge midpoints and does NOT re-project the new vertices: the fine
-vertices parametrize the macro triangles and keep the point-symmetric child
-pairs that ``symmetry_census`` counts.  ``project_vertices`` re-projects every
-vertex instead; that removes the pairs (census 0) but not the even-degree
-gain, so the gain does not rest on exact pairs.
+table of mesh kinds, the surface each is made for and the parameters it
+reads.  The octahedral kinds share one integer lattice, built with array
+operations, and number its vertices by first appearance with
+``_first_appearance``, the rule ``edge_table`` numbers edges by.  Bisection
+refines with exact flat edge midpoints and does NOT re-project the new
+vertices: the fine vertices parametrize the macro triangles and keep the
+point-symmetric child pairs that ``symmetry_census`` counts.
+``project_vertices`` re-projects every vertex instead; that removes the pairs
+(census 0) but not the even-degree gain, so the gain does not rest on exact
+pairs.
 
 ``write_off`` writes each coordinate as its ``repr``, formatted in numpy by
 ``text.floats``, at most ``blocks.BLOCK`` lines at a time; ``read_off``
@@ -142,9 +143,10 @@ def is_conforming_closed(mesh: FlatMesh) -> bool:
 # base-mesh generators
 # ---------------------------------------------------------------------------
 
-# each base-mesh kind and the surface it is made for; ``cli`` offers these
-KINDS = {"octa_sphere": "sphere", "struct_torus": "torus",
-         "scaled_ellipsoid": "ellipsoid"}
+# each base-mesh kind: the surface it is made for and the parameters it reads
+# from it, in the order it reads them; ``cli`` offers these kinds
+KINDS = {"octa_sphere": ("sphere", ("R",)), "struct_torus": ("torus", ("R", "r")),
+         "scaled_ellipsoid": ("ellipsoid", ("a", "b", "c"))}
 
 _OCTA_CORNERS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                           [0, 0, 1], [0, 0, -1]])
@@ -198,28 +200,33 @@ def _struct_torus(R: float, r: float, n: int):
 def generate_base(surface: ImplicitSurface, kind: str, resolution: int) -> FlatMesh:
     """Deterministic base triangulation with all vertices on the surface.
 
-    kinds (``KINDS`` names each one's surface): ``octa_sphere`` (subdivided
-    octahedron, radially projected), ``struct_torus`` ((4*res)^2 angular grid
-    with checkerboard diagonals), ``scaled_ellipsoid`` (octa_sphere stretched
-    onto the ellipsoid axes).
+    kinds (``KINDS`` names each one's surface and the parameters it reads):
+    ``octa_sphere`` (subdivided octahedron, radially projected),
+    ``struct_torus`` ((4*res)^2 angular grid with checkerboard diagonals),
+    ``scaled_ellipsoid`` (octa_sphere stretched onto the ellipsoid axes).
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if kind not in KINDS:
         raise ValueError(f"unknown mesh kind {kind!r}")
-    if surface.name != KINDS[kind]:
+    name, keys = KINDS[kind]
+    if surface.name != name:
         raise TopologyMismatch(
-            f"{kind} requires the {KINDS[kind]} surface, got {surface.name}")
+            f"{kind} requires the {name} surface, got {surface.name}")
+    missing = [key for key in keys if key not in surface.params]
+    if missing:
+        raise TopologyMismatch(
+            f"{kind} reads the {name} parameter(s) {missing}, which the "
+            "surface lacks")
+    params = [surface.params[key] for key in keys]
 
     if kind == "struct_torus":
-        return FlatMesh(*_struct_torus(surface.params["R"], surface.params["r"],
-                                       4 * resolution))
+        return FlatMesh(*_struct_torus(*params, 4 * resolution))
     verts, faces = _subdivided_octa(resolution)
     norm = np.linalg.norm(verts, axis=1)
     if kind == "octa_sphere":
-        return FlatMesh(verts * (surface.params["R"] / norm)[:, None], faces)
-    axes = np.array([surface.params[a] for a in "abc"])
-    return FlatMesh(verts / norm[:, None] * axes, faces)
+        return FlatMesh(verts * (params[0] / norm)[:, None], faces)
+    return FlatMesh(verts / norm[:, None] * np.array(params), faces)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import IllConditionedWarning, InsufficientData, StagnationWarning
 from .interp import COND_LIMIT, lagrange_basis
-from .quad import (MODE_INTERP, QuadratureRule, builtin_rule, constant_one,
-                   integrate_surface)
+from .quad import MODE_INTERP, constant_one, integrate_surface
+from .quadrules import QuadratureRule, builtin_rule
 from .refmesh import FlatMesh, bisect, generate_base, mesh_size, project_vertices
 from .surfaces import ImplicitSurface, surface_area_exact
 
@@ -207,20 +207,8 @@ def lebesgue_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def convergence_json(report: ConvergenceReport) -> str:
-    payload = {
-        "metadata": report.metadata,
-        "rows": [{"level": r.level, "h": r.h, "n_faces": r.n_faces,
-                  "value": r.value, "error": r.error, "eoc": r.eoc,
-                  "floored": r.floored} for r in report.rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def runge_json(report: RungeReport) -> str:
-    payload = {
-        "metadata": report.metadata,
-        "rows": [{"k": r.k, "error": r.error, "cond_warning": r.cond_warning}
-                 for r in report.rows],
-    }
+def report_json(report: ConvergenceReport | RungeReport) -> str:
+    """A report's metadata and rows, each row a dict of its fields."""
+    payload = {"metadata": report.metadata,
+               "rows": [asdict(r) for r in report.rows]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

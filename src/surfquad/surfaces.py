@@ -241,7 +241,8 @@ def parse_surface(spec: str) -> ImplicitSurface:
     """Build a surface from a CLI string like ``torus:R=2,r=1``.
 
     Accepted forms: ``sphere:R=<f>``, ``torus:R=<f>,r=<f>``,
-    ``ellipsoid:a=<f>,b=<f>,c=<f>``.  Unknown names or keys are rejected.
+    ``ellipsoid:a=<f>,b=<f>,c=<f>``.  Unknown names or keys and repeated keys
+    are rejected.
     """
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
@@ -249,10 +250,13 @@ def parse_surface(spec: str) -> ImplicitSurface:
     if rest.strip():
         for item in rest.split(","):
             key, eq, val = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise ValueError(f"malformed surface parameter {item!r} in {spec!r}")
+            if key in kv:
+                raise ValueError(f"repeated surface parameter {key!r} in {spec!r}")
             try:
-                kv[key.strip()] = float(val)
+                kv[key] = float(val)
             except ValueError:
                 raise ValueError(f"non-numeric value in surface parameter {item!r}") from None
 

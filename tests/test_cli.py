@@ -86,6 +86,16 @@ class TestParsing:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_surface_key_exits_2(self, tmp_path, capsys):
+        # sphere:R=1,R=2 used to write the mesh of the last value, R = 2
+        out = tmp_path / "x.off"
+        with pytest.raises(SystemExit) as exc:
+            main(f"mesh --surface sphere:R=1,R=2 --kind octa_sphere "
+                 f"--out {out}".split())
+        assert exc.value.code == 2
+        assert "repeated surface parameter 'R'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kind_choices_from_table(self):
         parser = build_parser()
         for kind in KINDS:
@@ -292,6 +302,25 @@ class TestReportCommands:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "k,error,cond_warning"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "2", "3"]
+
+    def test_runge_study_json_format(self, tmp_path):
+        import json
+        out, csv = tmp_path / "runge.json", tmp_path / "runge.csv"
+        args = ("runge-study --surface sphere:R=1 --kind octa_sphere --res 1 "
+                "--levels 1 --k-min 1 --k-max 3 --f gauss_curvature --mode exact")
+        assert main(f"{args} --format json --out {out}".split()) == 0
+        assert main(f"{args} --out {csv}".split()) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert payload["metadata"] == {
+            "surface": "sphere", "params": {"R": 1.0}, "n_faces": 32,
+            "f": "gauss_curvature", "mode": "exact_f", "rule_degree": 12}
+        # the rows are the CSV's, each a dict of the row's fields
+        rows = [line.split(",") for line in csv.read_text().split()[1:]]
+        assert payload["rows"] == [
+            {"k": int(k), "error": float(err), "cond_warning": bool(int(warn))}
+            for k, err, warn in rows]
 
     def test_runge_k_range_validated(self):
         with pytest.raises(SystemExit) as exc:

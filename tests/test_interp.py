@@ -2,15 +2,13 @@ import math
 import tracemalloc
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfquad as sq
-from surfquad.errors import DimensionMismatch
-from surfquad.interp import (interp_gradient_defect, poly_eval, poly_grad,
-                             random_poly)
-from surfquad.quad import monomial_integral
+from surfquad.interp import interp_gradient_defect, random_poly
 
 
 def ref_triangle_points(draw_s, draw_t):
@@ -21,6 +19,12 @@ def ref_triangle_points(draw_s, draw_t):
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def gradient(basis, s, t):
+    """(N, 2) columns d/ds, d/dt of every basis function at one point, read
+    from the derivative table."""
+    return basis.tables(np.array([[s, t]]))[1]
 
 
 def two_loop_lattice(k):
@@ -115,19 +119,24 @@ class TestBasis:
         basis = sq.lagrange_basis(3)
         pts = rng.uniform(0.0, 0.5, size=(2, 3, 2))
         nodal = rng.normal(size=(basis.count, 3))
-        vals, (ds, dt) = basis.eval(pts), basis.eval_grad(pts)
-        interp = basis.interpolate(nodal, pts)
-        assert vals.shape == ds.shape == dt.shape == (2, 3, basis.count)
-        assert interp.shape == (2, 3, 3)
+        vals = basis.eval(pts)
+        assert vals.shape == (2, 3, basis.count)
+        assert (vals @ nodal).shape == (2, 3, 3)
+        L, D = basis.tables(pts.reshape(-1, 2))
+        n = len(L)
+        np.testing.assert_allclose(vals.reshape(n, basis.count), L,
+                                   rtol=0, atol=1e-14)
+        assert D.shape == (basis.count, 2 * n) and D.flags.c_contiguous
         for row, p in enumerate(pts):
-            rds, rdt = basis.eval_grad(p)
-            for got, ref in ((vals, basis.eval(p)), (ds, rds), (dt, rdt),
-                             (interp, basis.interpolate(nodal, p))):
-                np.testing.assert_allclose(got[row], ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(vals[row], basis.eval(p), rtol=0, atol=1e-14)
+        # the table's columns are d/ds at every point, then d/dt
+        for q, (s, t) in enumerate(pts.reshape(-1, 2)):
+            np.testing.assert_allclose(D[:, [q, n + q]], gradient(basis, s, t),
+                                       rtol=0, atol=1e-14)
 
     def test_linear_gradients(self):
         basis = sq.lagrange_basis(1)
-        g = np.column_stack(basis.eval_grad((0.3, 0.2)))
+        g = gradient(basis, 0.3, 0.2)
         assert np.allclose(g[0], [-1, -1])   # vertex (0,0)
         assert np.allclose(g[1], [0, 1])     # vertex (0,1)
         assert np.allclose(g[2], [1, 0])     # vertex (1,0)
@@ -136,7 +145,7 @@ class TestBasis:
     @given(unit, unit)
     def test_gradient_sums_vanish(self, a, b):
         s, t = ref_triangle_points(a, b)
-        g = np.column_stack(sq.lagrange_basis(5).eval_grad((s, t)))
+        g = gradient(sq.lagrange_basis(5), s, t)
         assert np.max(np.abs(g.sum(axis=0))) < 1e-9
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -146,7 +155,7 @@ class TestBasis:
         for _ in range(20):
             s = rng.uniform(0.05, 0.9)
             t = rng.uniform(0.05, 0.95) * (1 - s)
-            g = np.column_stack(basis.eval_grad((s, t)))
+            g = gradient(basis, s, t)
             fd_s = (basis.eval((s + h, t)) - basis.eval((s - h, t))) / (2 * h)
             fd_t = (basis.eval((s, t + h)) - basis.eval((s, t - h))) / (2 * h)
             assert np.max(np.abs(g[:, 0] - fd_s)) < 1e-5
@@ -159,7 +168,7 @@ class TestInterpolate:
         for _ in range(10):
             s = rng.uniform(0, 1)
             t = rng.uniform(0, 1) * (1 - s)
-            out = basis.interpolate(basis.nodes, (s, t))
+            out = basis.eval((s, t)) @ basis.nodes
             assert np.allclose(out, [s, t], atol=1e-12)
 
     def test_exact_for_degree_k(self, rng):
@@ -169,7 +178,7 @@ class TestInterpolate:
         for _ in range(50):
             s = rng.uniform(0, 1)
             t = rng.uniform(0, 1) * (1 - s)
-            got = basis.interpolate(nodal, (s, t))
+            got = basis.eval((s, t)) @ nodal
             assert abs(got - s * s * t) < 1e-12
 
     def test_not_exact_beyond_degree(self):
@@ -180,32 +189,28 @@ class TestInterpolate:
         err = np.abs(basis.eval(pts) @ nodal - pts[:, 0] ** 4)
         assert err.max() > 1e-3
 
-    def test_dimension_mismatch(self):
-        basis = sq.lagrange_basis(2)
-        with pytest.raises(DimensionMismatch):
-            basis.interpolate(np.zeros(4), (0.2, 0.2))
-
 
 class TestGradientDefect:
     """Parity of the mean interpolation-gradient defect on the triangle."""
 
     @staticmethod
     def symbolic_defect(k, coeffs):
-        # independent oracle: expand (p - I_k p) in monomials and integrate
-        # term by term with the exact factorial formula
+        # independent oracle: expand (p - I_k p) in monomials with numpy's
+        # polynomial module and integrate term by term with the exact
+        # factorial formula a! b! / (a + b + 2)!
         basis = sq.lagrange_basis(k)
-        nodal = poly_eval(coeffs, basis.nodes)
+        nodal = npoly.polyval2d(basis.nodes[:, 0], basis.nodes[:, 1], coeffs)
         interp_mono = basis.coeffs @ nodal      # monomial coeffs of I_k p
-        n = coeffs.shape[0]
         diff = np.array(coeffs, dtype=float)
         for (a, b), c in zip(basis.powers, interp_mono):
             diff[a, b] -= c
-        ds, dt = poly_grad(diff)
-        total_s = sum(ds[a, b] * monomial_integral(a, b)
-                      for a in range(n) for b in range(n) if ds[a, b])
-        total_t = sum(dt[a, b] * monomial_integral(a, b)
-                      for a in range(n) for b in range(n) if dt[a, b])
-        return total_s, total_t
+
+        def integral(poly):
+            return sum(poly[a, b] * math.factorial(a) * math.factorial(b)
+                       / math.factorial(a + b + 2)
+                       for a, b in zip(*np.nonzero(poly)))
+        return (integral(npoly.polyder(diff, axis=0)),
+                integral(npoly.polyder(diff, axis=1)))
 
     def test_even_k2_cubic_monomial(self):
         coeffs = np.zeros((4, 4))

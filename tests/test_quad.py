@@ -10,8 +10,8 @@ import surfquad as sq
 from surfquad.curved import build_surface_elements
 from surfquad.errors import DegeneratePoint, IntegrationError, UnsupportedDegree
 from surfquad.quad import (MODE_EXACT, MODE_INTERP, _element_values,
-                           _streamed_values, _verify_rule, monomial_integral)
-from surfquad.quadrules import _gauss_01
+                           _streamed_values)
+from surfquad.quadrules import _gauss_01, _verify_rule, monomial_integral
 from surfquad.refmesh import FlatMesh
 
 

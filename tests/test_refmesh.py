@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,13 +62,23 @@ class TestGenerators:
     def test_topology_mismatch(self, unit_sphere, torus21, flat_ellipsoid):
         # every kind builds on the surface KINDS names for it and no other
         assert list(KINDS) == ["octa_sphere", "struct_torus", "scaled_ellipsoid"]
-        for kind, name in KINDS.items():
+        for kind, (name, _) in KINDS.items():
             for surface in (unit_sphere, torus21, flat_ellipsoid):
                 if surface.name == name:
                     assert sq.is_conforming_closed(sq.generate_base(surface, kind, 2))
                 else:
                     with pytest.raises(TopologyMismatch):
                         sq.generate_base(surface, kind, 2)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_missing_parameters_named(self, kind):
+        # a surface of the kind's name without the parameters the kind reads
+        # used to fail with a bare KeyError
+        name, keys = KINDS[kind]
+        surface = sq.from_level_set(phi=lambda p: p[..., 0],
+                                    grad_phi=lambda p: np.ones_like(p), name=name)
+        with pytest.raises(TopologyMismatch, match=re.escape(str(list(keys)))):
+            sq.generate_base(surface, kind, 1)
 
     def test_bad_resolution_and_kind(self, unit_sphere):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ from surfquad import study
 from surfquad.errors import InsufficientData
 from surfquad.quad import MODE_EXACT
 from surfquad.study import (ConvergenceReport, ConvergenceRow, convergence_csv,
-                            convergence_json, error_metric, fit_slope,
-                            lebesgue_csv, runge_csv)
+                            error_metric, fit_slope, lebesgue_csv, report_json,
+                            runge_csv)
 
 
 def synthetic_report(errors, h0=1.0):
@@ -215,7 +215,7 @@ class TestReports:
 
     def test_json_mirrors_fields(self):
         rep = synthetic_report([1e-1, 1e-2])
-        payload = json.loads(convergence_json(rep))
+        payload = json.loads(report_json(rep))
         assert payload["rows"][0]["eoc"] is None
         assert payload["rows"][1]["error"] == 1e-2
 

@@ -415,3 +415,10 @@ class TestParseSurface:
             sq.parse_surface("sphere:radius=1")
         with pytest.raises(ValueError):
             sq.parse_surface("sphere:R=abc")
+
+    @pytest.mark.parametrize("spec,key", [("sphere:R=1,R=2", "R"),
+                                          ("torus:R=2,r=1, r=0.5", "r")])
+    def test_repeated_key(self, spec, key):
+        # the last value used to win silently
+        with pytest.raises(ValueError, match=f"repeated surface parameter '{key}'"):
+            sq.parse_surface(spec)
