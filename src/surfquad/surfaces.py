@@ -381,17 +381,14 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
                 indices=np.flatnonzero(vanishing))
         y -= (surface.phi(y) / g2)[:, None] * g
 
+    # the residual of the stationarity system: y - x + lam grad_phi(y) and
+    # phi(y); grad_phi at the current iterate is kept for the next step
     g = surface.grad_phi(y)
     g2 = np.einsum("ij,ij->i", g, g)
     lam = np.einsum("ij,ij->i", pts - y, g) / g2
-
-    def resid_vec(yv, lv, target):
-        gv = surface.grad_phi(yv)
-        stat = yv - target + lv[:, None] * gv
-        return np.concatenate([stat, surface.phi(yv)[:, None]], axis=1)
-
-    F = resid_vec(y, lam, pts)
-    rnorm = np.linalg.norm(F, axis=1)
+    stat = y - pts + lam[:, None] * g
+    phi = surface.phi(y)
+    rnorm = np.sqrt(np.einsum("ij,ij->i", stat, stat) + phi * phi)
     iters = np.zeros(len(pts), dtype=int)
     active = rnorm > TOL * scale
 
@@ -400,42 +397,77 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
             break
         ia = np.flatnonzero(active)
         ya, la = y[ia], lam[ia]
-        ga = surface.grad_phi(ya)
-        Ha = _hessian(surface, ya)
+        dy, dl = _kkt_step(la, _hessian(surface, ya), g[ia], stat[ia], phi[ia])
 
-        # KKT system of the stationarity conditions
-        n_a = len(ia)
-        M = np.zeros((n_a, 4, 4))
-        M[:, :3, :3] = np.eye(3) + la[:, None, None] * Ha
-        M[:, :3, 3] = ga
-        M[:, 3, :3] = ga
-        rhs = -F[ia]
-        try:
-            delta = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            delta = np.stack([np.linalg.lstsq(M[i], rhs[i], rcond=None)[0]
-                              for i in range(n_a)])
-
-        # damping: halve the step until the residual decreases; points that
-        # never improve stay put (and eventually report NoConvergence)
-        alpha = np.ones(n_a)
-        best = rnorm[ia]
-        target = pts[ia]
+        # damping: one step length, halved after each trial, tried only on the
+        # points that have not improved yet; each point takes its first
+        # improving trial, and a point that never improves stays put (and
+        # eventually reports NoConvergence)
+        idx, target, best = ia, pts[ia], rnorm[ia]
+        alpha = 1.0
         for _ in range(40):
-            y_try = ya + alpha[:, None] * delta[:, :3]
-            l_try = la + alpha * delta[:, 3]
-            F_try = resid_vec(y_try, l_try, target)
-            r_try = np.linalg.norm(F_try, axis=1)
+            y_try = ya + alpha * dy
+            l_try = la + alpha * dl
+            g_try = surface.grad_phi(y_try)
+            s_try = y_try - target + l_try[:, None] * g_try
+            p_try = surface.phi(y_try)
+            r_try = np.sqrt(np.einsum("ij,ij->i", s_try, s_try) + p_try * p_try)
             improved = r_try < best
             if np.all(improved):
+                y[idx], lam[idx], g[idx] = y_try, l_try, g_try
+                stat[idx], phi[idx], rnorm[idx] = s_try, p_try, r_try
                 break
-            alpha = np.where(improved, alpha, alpha * 0.5)
-        # the last trial holds every improved point's accepted step
-        accepted = ia[improved]
-        y[accepted] = y_try[improved]
-        lam[accepted] = l_try[improved]
-        F[accepted] = F_try[improved]
-        rnorm[accepted] = r_try[improved]
+            accepted = idx[improved]
+            y[accepted], lam[accepted] = y_try[improved], l_try[improved]
+            g[accepted], stat[accepted] = g_try[improved], s_try[improved]
+            phi[accepted], rnorm[accepted] = p_try[improved], r_try[improved]
+            searching = ~improved
+            idx, ya, la, dy, dl, target, best = (
+                x[searching] for x in (idx, ya, la, dy, dl, target, best))
+            alpha *= 0.5
         iters[ia] += 1
         active[ia] = rnorm[ia] > TOL * scale[ia]
     return y, iters, rnorm, active
+
+
+def _kkt_step(lam, hess, grad, stat, phi):
+    """Newton step (dy, dlam) of the stationarity system for (n,) multipliers,
+    (n, 3, 3) Hessians, (n, 3) gradients and stationarity residuals and (n,)
+    level values: the solution of the KKT system
+
+        [[A, grad], [grad^T, 0]] [dy; dlam] = -[stat; phi],  A = I + lam H,
+
+    from its Schur complement through adj(A), one (n,) array per component;
+    H need not be symmetric.  A finite point whose A is exactly singular, or
+    whose Schur complement is 0, is solved as its own 4x4 system (least
+    squares if that is singular too); a point with non-finite data gets a
+    non-finite step.
+    """
+    g, r = grad.T, stat.T
+    dy = np.empty_like(stat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
+            [float(i == j) + lam * hess[:, i, j] for j in range(3)] for i in range(3))
+        adj = ((a11 * a22 - a12 * a21, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
+               (a12 * a20 - a10 * a22, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
+               (a10 * a21 - a11 * a20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10))
+        det = a00 * adj[0][0] + a01 * adj[1][0] + a02 * adj[2][0]
+        u = [-(row[0] * r[0] + row[1] * r[1] + row[2] * r[2]) for row in adj]
+        v = [row[0] * g[0] + row[1] * g[1] + row[2] * g[2] for row in adj]
+        schur = g[0] * v[0] + g[1] * v[1] + g[2] * v[2]
+        dlam = (g[0] * u[0] + g[1] * u[1] + g[2] * u[2] + det * phi) / schur
+        for c in range(3):
+            dy[:, c] = (u[c] - v[c] * dlam) / det
+    for i in np.flatnonzero((det == 0.0) | (schur == 0.0)):
+        kkt = np.zeros((4, 4))
+        kkt[:3, :3] = np.eye(3) + lam[i] * hess[i]
+        kkt[:3, 3] = kkt[3, :3] = grad[i]
+        rhs = -np.append(stat[i], phi[i])
+        if not (np.all(np.isfinite(kkt)) and np.all(np.isfinite(rhs))):
+            continue
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        dy[i], dlam[i] = sol[:3], sol[3]
+    return dy, dlam

@@ -114,6 +114,98 @@ class TestProjection:
         assert err.value.indices == [0]
         assert math.isfinite(err.value.residual)
 
+    def test_stalled_point_costs_only_its_own_trials(self, flat_ellipsoid, rng):
+        # a point on the z-axis above the pole, where the Hessian is NaN,
+        # stalls; the line search evaluates only the points still searching,
+        # so it adds its own 5 flow steps, its seed and 40 trials per
+        # iteration to the work of the other 5,000 points, and nothing more
+        def hess(p):
+            h = np.array(flat_ellipsoid.hess_phi(p))
+            h[(p[:, 0] == 0.0) & (p[:, 1] == 0.0)] = np.nan
+            return h
+
+        counted = []
+
+        def grad(p):
+            counted.append(len(p))
+            return flat_ellipsoid.grad_phi(p)
+
+        broken = sq.from_level_set(flat_ellipsoid.phi, grad, hess_phi=hess)
+        pts = shell_points(flat_ellipsoid, 5_001, rng)
+        sq.project_many(broken, np.delete(pts, 1234, axis=0))
+        alone = sum(counted)
+        counted.clear()
+        pts[1234] = [0.0, 0.0, 2.0]
+        with pytest.raises(NoConvergence) as err:
+            sq.project_many(broken, pts)
+        assert sum(counted) == alone + 6 + 40 * sq.surfaces.MAX_ITER
+        # it keeps its Newton seed, five flow steps from z = 2, as before
+        assert err.value.indices == [1234]
+        assert err.value.residuals == [9.977230375213253e-09]
+        assert err.value.iterations == sq.surfaces.MAX_ITER
+
+
+class TestKKTStep:
+    """The closed-form Newton step against the assembled 4x4 KKT system."""
+
+    @staticmethod
+    def dense(lam, hess, grad, stat, phi):
+        kkt = np.zeros((len(lam), 4, 4))
+        kkt[:, :3, :3] = np.eye(3) + lam[:, None, None] * hess
+        kkt[:, :3, 3] = kkt[:, 3, :3] = grad
+        return kkt, -np.concatenate([stat, phi[:, None]], axis=1)
+
+    def test_matches_dense_solve(self, rng):
+        # A = I + lam H near I with a non-symmetric H, |grad| about 1
+        n = 1_000
+        args = (rng.uniform(-0.2, 0.2, n), rng.normal(size=(n, 3, 3)),
+                rng.normal(size=(n, 3)) / math.sqrt(3), rng.normal(size=(n, 3)),
+                rng.normal(size=n))
+        dy, dlam = sq.surfaces._kkt_step(*args)
+        kkt, rhs = self.dense(*args)
+        ref = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+        err = np.linalg.norm(np.column_stack([dy, dlam]) - ref, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
+
+    @pytest.mark.parametrize("grad, solver", [
+        ([2.0, 0.0, 0.0], "solve"),    # A singular, the KKT system is not
+        ([0.0, 2.0, 0.0], "lstsq"),    # both singular
+    ])
+    def test_singular_a_takes_its_own_system(self, grad, solver, rng):
+        # A = I + lam H = diag(0, 1, 1) at point 1, between two regular points
+        lam = np.array([0.1, 1.0, -0.1])
+        hess = rng.normal(size=(3, 3, 3))
+        hess[1] = np.diag([-1.0, 0.0, 0.0])
+        g = rng.normal(size=(3, 3))
+        g[1] = grad
+        stat, phi = rng.normal(size=(3, 3)), rng.normal(size=3)
+        dy, dlam = sq.surfaces._kkt_step(lam, hess, g, stat, phi)
+        kkt, rhs = self.dense(lam, hess, g, stat, phi)
+        if solver == "solve":
+            ref = np.linalg.solve(kkt[1], rhs[1])
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(kkt[1], rhs[1])
+            ref = np.linalg.lstsq(kkt[1], rhs[1], rcond=None)[0]
+        assert np.array_equal(np.append(dy[1], dlam[1]), ref)
+        # the regular points get the same bits as alone
+        for i in (0, 2):
+            alone = sq.surfaces._kkt_step(lam[i:i + 1], hess[i:i + 1], g[i:i + 1],
+                                          stat[i:i + 1], phi[i:i + 1])
+            assert dy[i].tobytes() == alone[0][0].tobytes()
+            assert dlam[i] == alone[1][0]
+
+    def test_non_finite_data_gives_non_finite_step(self, rng):
+        lam = np.array([0.0, 1.0])
+        hess = np.zeros((2, 3, 3))
+        hess[1] = np.diag([-1.0, 0.0, 0.0])
+        grad = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        stat = np.array([[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
+        dy, dlam = sq.surfaces._kkt_step(lam, hess, grad, stat, np.zeros(2))
+        # point 1's A is singular, but its data are not finite: no 4x4 solve
+        for i in range(2):
+            assert not np.all(np.isfinite(np.append(dy[i], dlam[i])))
+
 
 def shell_points(surface, n, rng, lo=0.8, hi=1.2):
     """n points at radial scale lo..hi about the ellipsoid/sphere surface."""
