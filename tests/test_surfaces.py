@@ -139,7 +139,7 @@ class TestProjection:
         with pytest.raises(NoConvergence) as err:
             sq.project_many(broken, pts)
         assert sum(counted) == alone + 6 + 40 * sq.surfaces.MAX_ITER
-        # it keeps its Newton seed, five flow steps from z = 2, as before
+        # it keeps its Newton seed, five flow steps from z = 2
         assert err.value.indices == [1234]
         assert err.value.residuals == [9.977230375213253e-09]
         assert err.value.iterations == sq.surfaces.MAX_ITER
