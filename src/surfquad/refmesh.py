@@ -124,7 +124,7 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def euler_characteristic(mesh: FlatMesh) -> int:
-    return mesh.n_vertices - len(edge_table(mesh.faces)[0]) + mesh.n_faces
+    return mesh.n_vertices - len(mesh.edges[0]) + mesh.n_faces
 
 
 def is_conforming_closed(mesh: FlatMesh) -> bool:
@@ -132,7 +132,7 @@ def is_conforming_closed(mesh: FlatMesh) -> bool:
 
     A face that repeats a vertex has a side with no direction and fails.
     """
-    edges, side_edge = edge_table(mesh.faces)
+    edges, side_edge = mesh.edges
     start, end = mesh.faces, np.roll(mesh.faces, -1, axis=1)
     forward = np.bincount(side_edge[start < end], minlength=len(edges))
     backward = np.bincount(side_edge[start > end], minlength=len(edges))

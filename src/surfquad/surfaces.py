@@ -2,9 +2,10 @@
 
 A surface is the zero set of a level function phi: R^3 -> R.  The built-in
 sphere, torus and ellipsoid carry analytic gradients, Hessians, Gaussian
-curvature and (where a closed form exists) an analytic closest-point
-projection.  Generic level sets fall back to a damped Newton iteration on the
-stationarity system of the distance minimization.
+curvature and a closest-point projection of their own: a closed form on the
+sphere and torus, the root of the secular equation on the ellipsoid.  Generic
+level sets fall back to a damped Newton iteration on the stationarity system
+of the distance minimization.
 
 All field callables are vectorized: they accept arrays of shape (..., 3) and
 return values of shape (...) or (..., 3).
@@ -21,12 +22,16 @@ import numpy as np
 from . import blocks
 from .errors import DegeneratePoint, NoConvergence, OutsideTube
 
-# Newton's residual tolerance (times max(1, |x|)) and budget, read at call time
+# Newton's residual tolerance (times max(1, |x|)), and the step budget of
+# Newton and of the ellipsoid's secular iteration; both read at call time
 TOL = 1e-13
 MAX_ITER = 50
 
 # number of gradient-flow steps used to seed the Newton iteration
 _FLOW_STEPS = 5
+
+# the ellipsoid's secular function at roundoff: a point freezes below it
+_SECULAR_TOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,9 @@ class ImplicitSurface:
     ``gauss_curvature`` is defined for points in a tubular neighborhood;
     evaluate it at projected (on-surface) points.  ``analytic_project`` and
     ``hess_phi`` are optional accelerators for the projection.
+    ``analytic_project`` maps an (n, 3) batch to its closest points; it names
+    the points it cannot project by their index in the batch, raising
+    OutsideTube or NoConvergence.
     """
 
     name: str
@@ -188,6 +196,10 @@ def ellipsoid(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> ImplicitSurface
         h = np.diag(2.0 * inv2)
         return np.broadcast_to(h, p.shape[:-1] + (3, 3))
 
+    def proj(p):
+        p = np.asarray(p, dtype=float)
+        return _secular_project((a, b, c), p.reshape(-1, 3)).reshape(p.shape)
+
     return ImplicitSurface(
         name="ellipsoid",
         phi=phi,
@@ -195,8 +207,83 @@ def ellipsoid(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> ImplicitSurface
         gauss_curvature=curvature,
         params={"a": a, "b": b, "c": c},
         euler_characteristic=2,
+        analytic_project=proj,
         hess_phi=hess,
     )
+
+
+def _secular_project(axes, pts):
+    """Closest points of (n, 3) points on the ellipsoid with semi-axes
+    ``axes``, through its secular equation (D. Eberly, "Distance from a Point
+    to an Ellipse, an Ellipsoid, or a Hyperellipsoid", 2011).
+
+    The closest point to x is y_i = a_i^2 x_i / (t + a_i^2), t the largest
+    root of F(t) = sum_i (a_i x_i / (t + a_i^2))^2 - 1 = phi(y).  On t > -m,
+    m the smallest a_i^2, F is convex and decreasing, so Newton's iteration
+    climbs to the root monotonically from its left.  It starts at the first
+    Newton step from t = 0, 2 phi(x) / |grad phi(x)|^2, and clamps every step
+    at t_lo = max(max_i(a_i |x_i| - a_i^2), -m), where F >= 0.  It runs on
+    s = t + m, so that t + a_i^2 = s + (a_i^2 - m) keeps its relative
+    precision near the pole t = -m.
+
+    A point takes one more step and freezes on its own once F is at its
+    roundoff, F <= 8 eps, which a step to the right of the root also meets;
+    so its bits do not depend on the other points.  (A step bound in t, such
+    as 4 eps (|t| + m), is below what F resolves when the axes differ
+    much, and above it near the pole.)  One (n,) array per component,
+    elementwise.
+
+    Raises OutsideTube naming the points with no root above -m (the centre
+    and the medial sheet, where the closest point is not unique) or with
+    non-finite data, else NoConvergence naming the points still moving after
+    ``MAX_ITER`` steps.
+    """
+    a2 = [ai * ai for ai in axes]
+    m = min(a2)
+    shift = [a2i - m for a2i in a2]
+    # s stays above 0, so that a smallest axis with x_i = 0 has the term
+    # 0 / s = 0 at the pole; where x_i != 0 there, s_lo >= |a_i x_i| already
+    pole = np.finfo(float).smallest_subnormal
+    x = [pts[:, i] for i in range(3)]
+    ax = [ai * xi for ai, xi in zip(axes, x)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_lo = np.maximum(np.maximum(np.abs(ax[0]) - shift[0], np.abs(ax[1]) - shift[1]),
+                          np.maximum(np.abs(ax[2]) - shift[2], pole))
+        u = [xi / a2i for xi, a2i in zip(x, a2)]
+        s = np.maximum((x[0] * u[0] + x[1] * u[1] + x[2] * u[2] - 1.0)
+                       / (2.0 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])) + m, s_lo)
+
+        root = np.empty(len(pts))
+        outside = np.zeros(len(pts), dtype=bool)
+        idx = np.arange(len(pts))
+        for _ in range(MAX_ITER):
+            d = [s + ci for ci in shift]
+            qq = [(axi / di) ** 2 for axi, di in zip(ax, d)]
+            f = qq[0] + qq[1] + qq[2] - 1.0
+            step = f / (2.0 * (qq[0] / d[0] + qq[1] / d[1] + qq[2] / d[2]))
+            # F < 0 at the pole: no root above it
+            bad = ~np.isfinite(step) | ((f < 0.0) & (s <= pole))
+            settled = f <= _SECULAR_TOL
+            outside[idx[bad]] = True
+            root[idx[settled]] = np.maximum(s + step, s_lo)[settled]
+            moving = ~(settled | bad)
+            idx, f, s_lo = idx[moving], f[moving], s_lo[moving]
+            s = np.maximum(s[moving] + step[moving], s_lo)
+            ax = [axi[moving] for axi in ax]
+            if not len(idx):
+                break
+    if np.any(outside):
+        raise OutsideTube("no root of the ellipsoid's secular equation above "
+                          "-min a^2 (the centre or the medial sheet)",
+                          indices=np.flatnonzero(outside))
+    if len(idx):
+        resid = np.abs(f)
+        raise NoConvergence(MAX_ITER, float(resid.max()), indices=idx,
+                            residuals=resid)
+    out = np.empty_like(pts)
+    for i in range(3):
+        out[:, i] = a2[i] * x[i] / (root + shift[i])
+    return out
 
 
 def from_level_set(phi, grad_phi, gauss_curvature=None, analytic_project=None,
@@ -345,6 +432,10 @@ def project_many(surface: ImplicitSurface, points, out=None):
             if outside is None:
                 outside = exc
             outside_indices += [block.start + i for i in exc.indices]
+            continue
+        except NoConvergence as exc:
+            bad = block.start + np.asarray(exc.indices, dtype=int)
+            unconverged[bad], iters[bad], resid[bad] = True, exc.iterations, exc.residuals
             continue
         # the original points are read before ``out`` may overwrite them
         dist[block] = np.sign(surface.phi(pts[block])) * np.linalg.norm(

@@ -1,10 +1,12 @@
 import collections
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
 import surfquad as sq
+from surfquad import cli
 
 
 @pytest.fixture(scope="session")
@@ -22,10 +24,42 @@ def flat_ellipsoid():
     return sq.ellipsoid(1.0, 1.0, 0.6)
 
 
+def newton(surface):
+    """The surface without its closed-form projection: ``project_many`` runs
+    the generic gradient-flow and damped-Newton iteration on it."""
+    return dataclasses.replace(surface, analytic_project=None)
+
+
+@pytest.fixture(scope="session")
+def newton_ellipsoid():
+    """The ellipsoid (1, 1, 0.6) projected by Newton, not its secular equation:
+    the built-in surface that keeps the generic projector tested.  A test
+    that holds for any surface runs on both, as ``test_x`` on
+    ``flat_ellipsoid`` and ``test_x_newton`` on this one."""
+    return newton(sq.ellipsoid(1.0, 1.0, 0.6))
+
+
+@pytest.fixture()
+def newton_cli(monkeypatch):
+    """The command line parses every ``ellipsoid:`` spec to its Newton
+    variant, so that a command runs the generic projector end to end."""
+    def parse(spec):
+        surface = sq.surfaces.parse_surface(spec)
+        return newton(surface) if surface.name == "ellipsoid" else surface
+
+    monkeypatch.setattr(cli, "parse_surface", parse)
+
+
+def failing_nodes(surface):
+    """Unique nodes of the bisected res-1 ellipsoid mesh at k = 4 that fail
+    in one projection iteration: 224 under Newton, 252 under one secular step."""
+    return 224 if surface.analytic_project is None else 252
+
+
 @pytest.fixture()
 def one_iteration_projector(monkeypatch):
-    """Projection limited to one Newton iteration, so that it fails on the
-    ellipsoid, which has no closed-form projection."""
+    """Projection limited to one iteration, so that it fails on the points off
+    the ellipsoid: one Newton iteration, or one step on its secular equation."""
     monkeypatch.setattr(sq.surfaces, "MAX_ITER", 1)
 
 

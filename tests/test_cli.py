@@ -11,6 +11,8 @@ import surfquad as sq
 from surfquad.cli import build_parser, main
 from surfquad.refmesh import KINDS
 
+from conftest import failing_nodes, newton
+
 
 def cli_process(*args, **env):
     """``surfquad *args`` in a process of its own, with ``env`` added to the
@@ -143,13 +145,13 @@ class TestMeshCommand:
         r = np.linalg.norm([float(x), float(y), float(z)])
         assert r == pytest.approx(1.0, abs=1e-11)
 
-    def test_curved_nodes_bytes(self, tmp_path, k=3):
+    def test_curved_nodes_bytes(self, tmp_path, k=3, surface=sq.ellipsoid(1.0, 1.0, 0.6)):
+        # ``surface`` is what the command line parses the spec to
         csv = tmp_path / "nodes.csv"
         code = main(f"mesh --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
                     f"--res 1 --levels 1 --k {k} --out {tmp_path / 'mesh.off'} "
                     f"--curved-nodes {csv}".split())
         assert code == 0
-        surface = sq.ellipsoid(1.0, 1.0, 0.6)
         mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
         nodes = sq.build_surface_elements(mesh, surface, k).element_nodes()
         # one row per slot: nodes shared along edges repeat across faces
@@ -162,22 +164,30 @@ class TestMeshCommand:
     def test_curved_nodes_bytes_at_degree(self, tmp_path, k):
         self.test_curved_nodes_bytes(tmp_path, k)
 
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_curved_nodes_bytes_newton(self, tmp_path, k, newton_ellipsoid, newton_cli):
+        self.test_curved_nodes_bytes(tmp_path, k, newton_ellipsoid)
+
     def test_curved_nodes_bytes_across_write_blocks(self, tmp_path, monkeypatch,
-                                                    passes):
+                                                    passes, surface=sq.ellipsoid(1.0, 1.0, 0.6)):
         # 32 faces, one face range, written in blocks of at most 50 lines:
         # seven blocks of four or five faces of 10 rows at k=3, and one face
         # of 66 rows at k=10.  At k=3 (146 unique nodes) a block shares nodes
         # with an earlier one and uses nodes that sort before those of block
         # 0; every block takes its lines from the range's one node list
         monkeypatch.setattr(sq.blocks, "BLOCK", 50)
-        surface = sq.ellipsoid(1.0, 1.0, 0.6)
         mesh = sq.bisect(sq.generate_base(surface, "scaled_ellipsoid", 1))
         index = sq.build_surface_elements(mesh, surface, 3).node_index
         assert np.intersect1d(index[:4], index[4:9]).size > 0
         assert np.setdiff1d(index[4:], index[:4]).min() < index[:4].max()
         for k in (3, 10):
-            self.test_curved_nodes_bytes(tmp_path, k)
+            self.test_curved_nodes_bytes(tmp_path, k, surface)
         assert passes["_write_curved_nodes"] == [7, 32]
+
+    def test_curved_nodes_bytes_across_write_blocks_newton(
+            self, tmp_path, monkeypatch, passes, newton_ellipsoid, newton_cli):
+        self.test_curved_nodes_bytes_across_write_blocks(tmp_path, monkeypatch, passes,
+                                                         newton_ellipsoid)
 
     def test_curved_nodes_write_memory_flat(self, tmp_path, monkeypatch):
         # the export's memory above the mesh and its kept edge table is one
@@ -244,15 +254,21 @@ class TestIntegrateCommand:
         # a local ``text`` would make the text module unbound in all of run
         assert "text" not in sq.cli.run.__code__.co_varnames
 
-    def test_numerical_failure_exits_1(self, capsys, one_iteration_projector):
+    def test_numerical_failure_exits_1(self, capsys, one_iteration_projector,
+                                       surface=sq.ellipsoid(1.0, 1.0, 0.6)):
         code = main("integrate --surface ellipsoid:a=1,b=1,c=0.6 "
                     "--kind scaled_ellipsoid --res 1 --levels 1 --k 4 "
                     "--f gauss_curvature".split())
         assert code == 1
         err = capsys.readouterr().err
         assert "face" in err and "node" in err
-        # every one of the 224 failing unique nodes is counted, not the first 50
-        assert "(224 face/node failure(s))" in err
+        # every failing unique node (224 under Newton) is counted, not the first 50
+        assert f"({failing_nodes(surface)} face/node failure(s))" in err
+
+    def test_numerical_failure_exits_1_newton(self, capsys, one_iteration_projector,
+                                              newton_ellipsoid, newton_cli):
+        self.test_numerical_failure_exits_1(capsys, one_iteration_projector,
+                                            newton_ellipsoid)
 
 
 class TestReportCommands:
@@ -333,14 +349,21 @@ class TestFaceBlocks:
     """Outputs are the same bytes whether a mesh is streamed in many face
     blocks or in one, at any --threads."""
 
-    @pytest.mark.parametrize("command", [
-        "converge --surface torus:R=2,r=1 --kind struct_torus --res 1 --k 4 "
-        "--levels 2",
-        "converge --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
-        "--res 1 --k 4 --levels 2",
-        "runge-study --surface torus:R=2,r=1 --kind struct_torus --res 1 "
-        "--levels 1 --k-max 6"], ids=["torus", "ellipsoid", "runge"])
-    def test_report_bytes_across_blocks(self, tmp_path, monkeypatch, command):
+    ELLIPSOID = ("converge --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
+                 "--res 1 --k 4 --levels 2")
+
+    @pytest.mark.parametrize("command, projector", [
+        ("converge --surface torus:R=2,r=1 --kind struct_torus --res 1 --k 4 "
+         "--levels 2", None),
+        (ELLIPSOID, None),
+        (ELLIPSOID, "newton_cli"),
+        ("runge-study --surface torus:R=2,r=1 --kind struct_torus --res 1 "
+         "--levels 1 --k-max 6", None)],
+        ids=["torus", "ellipsoid", "newton-ellipsoid", "runge"])
+    def test_report_bytes_across_blocks(self, tmp_path, monkeypatch, command,
+                                        projector, request):
+        if projector:
+            request.getfixturevalue(projector)
         outputs = []
         # blocks of at most 7 faces: 2 to 74 blocks per level
         for block in (1 << 30, 7):
@@ -351,15 +374,21 @@ class TestFaceBlocks:
                 outputs.append(out.read_bytes())
         assert all(o == outputs[0] for o in outputs[1:])
 
-    def test_curved_nodes_bytes_across_blocks(self, tmp_path, monkeypatch, passes):
+    def test_curved_nodes_bytes_across_blocks(self, tmp_path, monkeypatch, passes,
+                                              surface=sq.ellipsoid(1.0, 1.0, 0.6)):
         # 32 faces in seven blocks of 4 or 5; at k=10 each block's rows are
         # written one face (66 lines) at a time
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 5)
         monkeypatch.setattr(sq.blocks, "BLOCK", 70)
         for k, writes in ((1, [1] * 7), (3, [1] * 7), (10, [4, 5, 4, 5, 4, 5, 5])):
             passes.clear()
-            TestMeshCommand().test_curved_nodes_bytes(tmp_path, k)
+            TestMeshCommand().test_curved_nodes_bytes(tmp_path, k, surface)
             assert passes["_write_curved_nodes"] == writes
+
+    def test_curved_nodes_bytes_across_blocks_newton(self, tmp_path, monkeypatch, passes,
+                                                     newton_ellipsoid, newton_cli):
+        self.test_curved_nodes_bytes_across_blocks(tmp_path, monkeypatch, passes,
+                                                   newton_ellipsoid)
 
 
 class TestDeterminism:

@@ -15,6 +15,8 @@ from surfquad.errors import (DegenerateJacobian, IntegrationError, NoConvergence
 from surfquad.quad import MODE_EXACT, _chart_integrals
 from surfquad.refmesh import FlatMesh
 
+from conftest import failing_nodes, newton
+
 
 @pytest.fixture(scope="module")
 def octant_tri():
@@ -65,8 +67,9 @@ class TestOneElementPipeline:
 
     @pytest.mark.parametrize("surface, kind, res", [
         (sq.torus(2.0, 1.0), "struct_torus", 2),
-        (sq.ellipsoid(1.0, 1.0, 0.6), "scaled_ellipsoid", 1)],
-        ids=["torus", "ellipsoid"])
+        (sq.ellipsoid(1.0, 1.0, 0.6), "scaled_ellipsoid", 1),
+        (newton(sq.ellipsoid(1.0, 1.0, 0.6)), "scaled_ellipsoid", 1)],
+        ids=["torus", "ellipsoid", "newton-ellipsoid"])
     def test_single_element_equals_one_face_mesh(self, surface, kind, res):
         base = sq.generate_base(surface, kind, res)
         tri = base.vertices[base.faces[3]]
@@ -85,6 +88,10 @@ class TestOneElementPipeline:
         assert {face for face, _ in err.value.failures} == {0}
         assert all(isinstance(sub, NoConvergence) and "node" in str(sub)
                    for _, sub in err.value.failures)
+
+    def test_projection_failure_names_face_0_newton(self, newton_ellipsoid,
+                                                    one_iteration_projector):
+        self.test_projection_failure_names_face_0(newton_ellipsoid, one_iteration_projector)
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 3, 3), (9,)])
     def test_rejects_triangle_shape(self, unit_sphere, shape):
@@ -274,6 +281,9 @@ class TestWatertight:
         assert len(batch.unique_nodes) == len(base.unique_nodes)
         assert np.array_equal(batch.element_nodes(), base.element_nodes())
 
+    def test_unreferenced_vertex_not_projected_newton(self, newton_ellipsoid):
+        self.test_unreferenced_vertex_not_projected(newton_ellipsoid)
+
     def test_traversal_order_independence(self, unit_sphere):
         mesh = sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 1))
         rule = sq.builtin_rule(12)
@@ -291,9 +301,10 @@ class TestBuildBlocks:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bits_independent_of_fill_block(self, torus21, flat_ellipsoid, k,
-                                            monkeypatch, passes):
-        cases = [(torus21, sq.generate_base(torus21, "struct_torus", 1)),
-                 (flat_ellipsoid, sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))]
+                                            monkeypatch, passes, newton_ellipsoid):
+        cases = [(torus21, sq.generate_base(torus21, "struct_torus", 1))] + [
+            (surface, sq.generate_base(surface, "scaled_ellipsoid", 1))
+            for surface in (flat_ellipsoid, newton_ellipsoid)]
         whole = [build_surface_elements(mesh, surface, k) for surface, mesh in cases]
         # 32 and 8 faces: one block by default, one or two faces and two to
         # seven edges per block here
@@ -303,8 +314,8 @@ class TestBuildBlocks:
             b = build_surface_elements(mesh, surface, k)
             for x, y in ((a.node_index, b.node_index), (a.unique_nodes, b.unique_nodes)):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        # the edge and face fills of both meshes each ran more than one pass
-        assert len(passes["build_surface_elements"]) == 4
+        # the edge and face fills of every mesh each ran more than one pass
+        assert len(passes["build_surface_elements"]) == 6
         assert min(passes["build_surface_elements"]) > 1
 
     def test_peak_memory_bounded_by_kept_arrays(self, torus21):
@@ -330,11 +341,12 @@ class TestFaceRanges:
     nodes are the whole batch's, bit for bit, in the same order."""
 
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_range_is_whole_batch_restricted(self, torus21, flat_ellipsoid, k):
+    def test_range_is_whole_batch_restricted(self, torus21, flat_ellipsoid, k,
+                                             newton_ellipsoid):
+        ellipsoid_mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
         for surface, mesh in (
                 (torus21, sq.bisect(sq.generate_base(torus21, "struct_torus", 1))),
-                (flat_ellipsoid, sq.bisect(sq.generate_base(
-                    flat_ellipsoid, "scaled_ellipsoid", 1)))):
+                (flat_ellipsoid, ellipsoid_mesh), (newton_ellipsoid, ellipsoid_mesh)):
             whole = build_surface_elements(mesh, surface, k)
             assert whole.node_index.dtype == np.int32
             full = build_surface_elements(mesh, surface, k, slice(0, mesh.n_faces))
@@ -454,6 +466,11 @@ class TestFailureAttribution:
         assert face >= 0
         assert "node" in str(sub)
 
+    def test_projection_failures_name_faces_and_nodes_newton(self, newton_ellipsoid,
+                                                             one_iteration_projector):
+        self.test_projection_failures_name_faces_and_nodes(newton_ellipsoid,
+                                                           one_iteration_projector)
+
     def test_each_node_quotes_its_own_residual(self, flat_ellipsoid,
                                                one_iteration_projector):
         mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
@@ -474,19 +491,29 @@ class TestFailureAttribution:
             residuals.append(sub.residual)
         assert len(set(residuals)) > 1
 
+    def test_each_node_quotes_its_own_residual_newton(self, newton_ellipsoid,
+                                                      one_iteration_projector):
+        self.test_each_node_quotes_its_own_residual(newton_ellipsoid,
+                                                    one_iteration_projector)
+
     def test_every_failing_node_at_its_first_slot(self, flat_ellipsoid,
                                                   one_iteration_projector):
         mesh = sq.bisect(sq.generate_base(flat_ellipsoid, "scaled_ellipsoid", 1))
         with pytest.raises(IntegrationError) as err:
             build_surface_elements(mesh, flat_ellipsoid, 4)
         failing = err.value.__cause__.indices
-        assert len(failing) == len(err.value.failures) == 224
+        assert len(failing) == len(err.value.failures) == failing_nodes(flat_ellipsoid)
         # the node table depends on the mesh and k alone
         index = build_surface_elements(mesh, sq.sphere(1.0), 4).node_index
         for uid, (face, sub) in zip(failing, err.value.failures):
             node = int(re.search(r"node (\d+) ", str(sub)).group(1))
             faces, locals_ = np.nonzero(index == uid)
             assert (face, node) == (faces[0], locals_[0])
+
+    def test_every_failing_node_at_its_first_slot_newton(self, newton_ellipsoid,
+                                                         one_iteration_projector):
+        self.test_every_failing_node_at_its_first_slot(newton_ellipsoid,
+                                                       one_iteration_projector)
 
     def test_message_lists_each_face_once(self, flat_ellipsoid,
                                           one_iteration_projector):
@@ -502,6 +529,10 @@ class TestFailureAttribution:
         assert str(many).startswith(
             "integration failed on faces [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (+2 more): x")
 
+    def test_message_lists_each_face_once_newton(self, newton_ellipsoid,
+                                                 one_iteration_projector):
+        self.test_message_lists_each_face_once(newton_ellipsoid, one_iteration_projector)
+
     def test_face_blocks_report_the_whole_builds_failures(
             self, flat_ellipsoid, one_iteration_projector, monkeypatch, tmp_path,
             capsys):
@@ -516,7 +547,7 @@ class TestFailureAttribution:
                     for face, sub in failures]
 
         expected = listed(err.value.failures)
-        assert len(expected) == 224
+        assert len(expected) == failing_nodes(flat_ellipsoid)
         # 11 blocks of 2 or 3 faces: most failing nodes are shared by two blocks
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
         rule = sq.builtin_rule(12)
@@ -534,7 +565,14 @@ class TestFailureAttribution:
             f"--res 1 --levels 1 --k 4 --out {tmp_path / 'm.off'} "
             f"--curved-nodes {tmp_path / 'n.csv'}".split())
         assert code == 1
-        assert "(224 face/node failure(s))" in capsys.readouterr().err
+        assert (f"({failing_nodes(flat_ellipsoid)} face/node failure(s))"
+                in capsys.readouterr().err)
+
+    def test_face_blocks_report_the_whole_builds_failures_newton(
+            self, newton_ellipsoid, one_iteration_projector, monkeypatch, tmp_path,
+            capsys, newton_cli):
+        self.test_face_blocks_report_the_whole_builds_failures(
+            newton_ellipsoid, one_iteration_projector, monkeypatch, tmp_path, capsys)
 
     def test_failures_numbered_by_vertex_rank(self, flat_ellipsoid,
                                               one_iteration_projector,
@@ -555,7 +593,7 @@ class TestFailureAttribution:
                 build_surface_elements(m, flat_ellipsoid, 4)
             failures.append(listed(err.value.failures))
         expected = failures[0]
-        assert failures[1] == expected and len(expected) == 224
+        assert failures[1] == expected and len(expected) == failing_nodes(flat_ellipsoid)
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
         for threads in (1, 2):
             with pytest.raises(IntegrationError) as streamed:
@@ -567,9 +605,17 @@ class TestFailureAttribution:
             cli._write_curved_nodes(shifted, flat_ellipsoid, 4, tmp_path / "n.csv")
         assert listed(exported.value.failures) == expected
 
+    def test_failures_numbered_by_vertex_rank_newton(self, newton_ellipsoid,
+                                                     one_iteration_projector,
+                                                     monkeypatch, tmp_path):
+        self.test_failures_numbered_by_vertex_rank(newton_ellipsoid,
+                                                   one_iteration_projector,
+                                                   monkeypatch, tmp_path)
+
     @pytest.mark.parametrize("surface", [sq.sphere(1.0),
-                                         sq.ellipsoid(1.0, 1.0, 0.6)],
-                             ids=["sphere", "ellipsoid"])
+                                         sq.ellipsoid(1.0, 1.0, 0.6),
+                                         newton(sq.ellipsoid(1.0, 1.0, 0.6))],
+                             ids=["sphere", "ellipsoid", "newton-ellipsoid"])
     def test_outside_tube_once_across_face_blocks(self, surface, monkeypatch):
         # both faces hold the k=2 node at the origin, on their shared edge
         verts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
@@ -587,11 +633,12 @@ class TestFailureAttribution:
             assert "node 3" in str(sub)
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0),
-                                         sq.ellipsoid(1.0, 1.0, 0.6)],
-                             ids=["sphere", "ellipsoid"])
+                                         sq.ellipsoid(1.0, 1.0, 0.6),
+                                         newton(sq.ellipsoid(1.0, 1.0, 0.6))],
+                             ids=["sphere", "ellipsoid", "newton-ellipsoid"])
     def test_outside_tube_names_face_and_node(self, surface):
         # the k=2 node on the edge (1,0,0)-(-1,0,0) is the origin, where the
-        # closed-form projection and the Newton seed are both undefined
+        # closed-form projections and the Newton seed are all undefined
         tri = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         mesh = FlatMesh(tri, np.array([[0, 1, 2]]))
         calls = [lambda: build_surface_elements(mesh, surface, 2),
@@ -607,8 +654,9 @@ class TestFailureAttribution:
             assert "node 3" in str(sub)     # first edge node, edge q1-q2
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0),
-                                         sq.ellipsoid(1.0, 1.0, 0.6)],
-                             ids=["sphere", "ellipsoid"])
+                                         sq.ellipsoid(1.0, 1.0, 0.6),
+                                         newton(sq.ellipsoid(1.0, 1.0, 0.6))],
+                             ids=["sphere", "ellipsoid", "newton-ellipsoid"])
     def test_outside_tube_in_later_block(self, surface, monkeypatch, passes):
         # unique nodes 0-2 are the vertices and the origin is an edge node
         # (3-5): in blocks of two it is projected in a later block than node 0

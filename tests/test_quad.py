@@ -14,6 +14,8 @@ from surfquad.quad import (MODE_EXACT, MODE_INTERP, _element_values,
 from surfquad.quadrules import _gauss_01, _verify_rule, monomial_integral
 from surfquad.refmesh import FlatMesh
 
+from conftest import newton
+
 
 def plane_surface():
     return sq.from_level_set(
@@ -357,6 +359,9 @@ class TestIntegrateSurface:
                                  sq.builtin_rule(12))
         assert all(face >= 0 for face, _ in err.value.failures)
 
+    def test_failure_aggregation_newton(self, newton_ellipsoid, one_iteration_projector):
+        self.test_failure_aggregation(newton_ellipsoid, one_iteration_projector)
+
     def test_batch_must_match_mesh_and_k(self, unit_sphere):
         base = sq.generate_base(unit_sphere, "octa_sphere", 1)
         mesh = sq.bisect(base)
@@ -385,8 +390,9 @@ class TestStreamedIntegration:
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
     @pytest.mark.parametrize("surface, kind, levels", [
         (sq.torus(2.0, 1.0), "struct_torus", 1),
-        (sq.ellipsoid(1.0, 1.0, 0.6), "scaled_ellipsoid", 2)],
-        ids=["torus", "ellipsoid"])
+        (sq.ellipsoid(1.0, 1.0, 0.6), "scaled_ellipsoid", 2),
+        (newton(sq.ellipsoid(1.0, 1.0, 0.6)), "scaled_ellipsoid", 2)],
+        ids=["torus", "ellipsoid", "newton-ellipsoid"])
     def test_element_values_bitwise_across_blocks(self, surface, kind, levels,
                                                   mode, monkeypatch):
         mesh = sq.generate_base(surface, kind, 1)

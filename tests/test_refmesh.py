@@ -202,6 +202,20 @@ class TestConformity:
         assert sq.is_conforming_closed(m)
         assert not sq.is_conforming_closed(FlatMesh(m.vertices, edit(m.faces)))
 
+    def test_audit_builds_one_edge_table(self, unit_sphere, monkeypatch, tmp_path):
+        # a mesh read back from OFF has no table yet; both checks share the
+        # one the mesh keeps
+        sq.write_off(sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 2)),
+                     tmp_path / "m.off")
+        mesh = sq.read_off(tmp_path / "m.off")
+        calls = []
+        table = sq.refmesh.edge_table
+        monkeypatch.setattr(sq.refmesh, "edge_table",
+                            lambda faces: calls.append(len(faces)) or table(faces))
+        assert sq.is_conforming_closed(mesh)
+        assert sq.euler_characteristic(mesh) == 2
+        assert calls == [mesh.n_faces]
+
 
 def _bisect_reference(mesh):
     """Midpoints numbered by first appearance over sides ab, bc, ca, face by face."""

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import surfquad as sq
-from surfquad import study
+from surfquad import blocks, study
 from surfquad.errors import DegeneratePoint, NoConvergence, OutsideTube
 
-from conftest import torus_points
+from conftest import newton, torus_points
 
 
 def project_one(surface, x):
@@ -52,11 +52,11 @@ class TestProjection:
             again, _ = project_one(torus21, x)
             assert np.linalg.norm(again - x) <= 10 * 1e-13
 
-    def test_newton_idempotence(self, flat_ellipsoid, rng):
+    def test_newton_idempotence(self, newton_ellipsoid, rng):
         for _ in range(10):
             seed = rng.normal(size=3) * 0.1 + [1.0, 0.1, 0.1]
-            x, _ = project_one(flat_ellipsoid, seed)
-            again, _ = project_one(flat_ellipsoid, x)
+            x, _ = project_one(newton_ellipsoid, seed)
+            again, _ = project_one(newton_ellipsoid, x)
             assert np.linalg.norm(again - x) <= 10 * 1e-13
 
     def test_minimality_against_dense_sample(self, torus21, rng):
@@ -81,10 +81,16 @@ class TestProjection:
                 np.linalg.norm(v) * np.linalg.norm(g))
             assert sinang < 1e-8
 
+    def test_normal_alignment_newton(self, newton_ellipsoid, rng):
+        self.test_normal_alignment(newton_ellipsoid, rng)
+
     def test_residual_on_surface(self, flat_ellipsoid, rng):
         pts = rng.normal(size=(50, 3)) * 0.15 + [0.8, 0.2, 0.1]
         proj, _, _, _ = sq.project_many(flat_ellipsoid, pts)
         assert np.max(np.abs(flat_ellipsoid.phi(proj))) < 1e-12
+
+    def test_residual_on_surface_newton(self, newton_ellipsoid, rng):
+        self.test_residual_on_surface(newton_ellipsoid, rng)
 
     def test_outside_tube_center(self, unit_sphere):
         with pytest.raises(OutsideTube):
@@ -99,6 +105,9 @@ class TestProjection:
             project_one(flat_ellipsoid, [0.9, 0.4, 0.3])
         assert err.value.iterations <= 1
         assert err.value.residual > 0
+
+    def test_no_convergence_budget_newton(self, newton_ellipsoid, one_iteration_projector):
+        self.test_no_convergence_budget(newton_ellipsoid, one_iteration_projector)
 
     def test_non_finite_step_stays_put(self, flat_ellipsoid):
         # a NaN Newton step never improves the residual: the point keeps its
@@ -143,6 +152,98 @@ class TestProjection:
         assert err.value.indices == [1234]
         assert err.value.residuals == [9.977230375213253e-09]
         assert err.value.iterations == sq.surfaces.MAX_ITER
+
+
+class TestSecularProjection:
+    """The ellipsoid projects through the root of its secular equation."""
+
+    @staticmethod
+    def distance_to_surface(surface, pts):
+        return np.abs(surface.phi(pts)) / np.linalg.norm(surface.grad_phi(pts), axis=1)
+
+    @pytest.mark.parametrize("axes", [(1.0, 1.0, 0.6), (1.3, 0.9, 0.6), (0.6, 0.6, 1.0)])
+    def test_matches_newton_on_shells(self, axes, rng):
+        surface = sq.ellipsoid(*axes)
+        pts = shell_points(surface, 2000, rng, 0.9, 1.1)
+        proj, dist, iters, resid = sq.project_many(surface, pts)
+        # Newton stops at residual 1e-13; the root is at roundoff
+        assert np.max(np.abs(proj - sq.project_many(newton(surface), pts)[0])) <= 2e-13
+        assert np.max(self.distance_to_surface(surface, proj)) <= 1e-15
+        assert np.array_equal(resid, np.abs(surface.phi(proj)))
+        assert not np.any(iters)
+
+    def test_unit_ellipsoid_is_the_sphere(self, rng):
+        pts = rng.normal(size=(2000, 3))
+        got = sq.project_many(sq.ellipsoid(1.0, 1.0, 1.0), pts)[0]
+        assert np.max(np.abs(got - sq.project_many(sq.sphere(1.0), pts)[0])) <= 4e-16
+
+    @pytest.mark.parametrize("axes", [(3.0, 1.0, 0.2), (10.0, 1.0, 0.1)])
+    def test_elongated_axes_reach_roundoff(self, axes, rng):
+        # the root is resolved to the secular function's own roundoff, not to
+        # a step scaled by the smallest axis, which would never settle here
+        surface = sq.ellipsoid(*axes)
+        proj = sq.project_many(surface, shell_points(surface, 5000, rng, 0.9, 1.1))[0]
+        assert np.max(self.distance_to_surface(surface, proj)) <= 4e-15
+
+    def test_closest_against_dense_sample(self, flat_ellipsoid, rng):
+        # points inside, near the medial disk z = 0, |(x, y)| < 0.64, and
+        # outside: no sampled surface point may be closer
+        theta, phi = np.meshgrid(np.linspace(0.0, np.pi, 200),
+                                 np.linspace(0.0, 2.0 * np.pi, 400), indexing="ij")
+        sample = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                           0.6 * np.cos(theta)], axis=-1).reshape(-1, 3)
+        pts = np.vstack([rng.uniform(-0.6, 0.6, (30, 3)) * [1.0, 1.0, 0.05],
+                         rng.normal(size=(30, 3))])
+        proj, dist, _, _ = sq.project_many(flat_ellipsoid, pts)
+        for x, y, d in zip(pts, proj, dist):
+            assert np.linalg.norm(y - x) == pytest.approx(abs(d), rel=1e-15)
+            assert abs(d) <= np.min(np.linalg.norm(sample - x, axis=1)) + 1e-12
+
+    @pytest.mark.parametrize("z", [1e-8, 1e-12, 1e-16, 1e-200])
+    def test_near_the_medial_sheet(self, flat_ellipsoid, z):
+        # the pole t = -c^2 is resolved relative to its own distance: above
+        # (0, 0.5, 0) the closest point tends to (0, 0.5 / 0.64, 0.6 sqrt(1 -
+        # (0.5 / 0.64)^2)), while Newton settles at (0, 1, -2.6 z), a
+        # stationary point 0.5 away against 0.47
+        point, _ = project_one(flat_ellipsoid, [0.0, 0.5, z])
+        y = 0.5 / 0.64
+        assert point == pytest.approx([0.0, y, 0.6 * math.sqrt(1.0 - y * y)],
+                                      abs=2.0 * z + 2e-16)
+        assert abs(flat_ellipsoid.phi(point)) <= 4e-16
+
+    def test_outside_tube_names_centre_and_medial_sheet(self, flat_ellipsoid, rng,
+                                                        monkeypatch, passes):
+        # no root above -c^2: the centre and two points of the medial disk
+        # z = 0, |(x, y)| < 0.64; its rim and (0.5, 0.5, 0) beyond it project
+        pts = shell_points(flat_ellipsoid, 15, rng)
+        pts[[2, 7, 11]] = [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, -0.6, 0.0]]
+        pts[[12, 13]] = [[0.5, 0.5, 0.0], [0.0, -0.64, 0.0]]
+        for block in (blocks.BLOCK, 5):
+            monkeypatch.setattr(sq.blocks, "BLOCK", block)
+            with pytest.raises(OutsideTube) as err:
+                sq.project_many(flat_ellipsoid, pts)
+            assert err.value.indices == [2, 7, 11]
+        assert passes["project_many"] == [1, 3]
+        proj = sq.project_many(flat_ellipsoid, pts[12:14])[0]
+        assert np.max(np.abs(proj - [[math.sqrt(0.5), math.sqrt(0.5), 0.0],
+                                     [0.0, -1.0, 0.0]])) <= 2e-16
+
+    def test_non_finite_points_are_named(self, flat_ellipsoid):
+        pts = [[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]]
+        with pytest.raises(OutsideTube) as err:
+            sq.project_many(flat_ellipsoid, pts)
+        assert err.value.indices == [1, 2]
+
+    def test_bits_independent_of_block(self, flat_ellipsoid, rng, monkeypatch, passes):
+        # from the centre's neighbourhood to twice the surface: three to nine
+        # steps, every point frozen on its own
+        pts = shell_points(flat_ellipsoid, 500, rng, 0.05, 2.0)
+        whole = sq.project_many(flat_ellipsoid, pts)
+        monkeypatch.setattr(sq.blocks, "BLOCK", 7)
+        blocked = sq.project_many(flat_ellipsoid, pts)
+        assert passes["project_many"] == [1, 72]
+        for a, b in zip(whole, blocked):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestKKTStep:
@@ -219,15 +320,17 @@ class TestProjectionBlocks:
 
     B = 5
 
-    @pytest.mark.parametrize("name", ["ellipsoid", "torus", "sphere"])
+    @pytest.mark.parametrize("name", ["ellipsoid", "newton-ellipsoid", "torus", "sphere"])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1])
     def test_bits_independent_of_block(self, name, n, rng, monkeypatch, passes):
         if name == "torus":
             surface = sq.torus(2.0, 1.0)
             pts = torus_points(2.0, 1.0, 7, 5)[:n] * rng.uniform(0.9, 1.1, (n, 1))
         else:
-            surface = (sq.ellipsoid(1.0, 1.0, 0.6) if name == "ellipsoid"
-                       else sq.sphere(1.0))
+            surface = (sq.sphere(1.0) if name == "sphere"
+                       else sq.ellipsoid(1.0, 1.0, 0.6))
+            if name == "newton-ellipsoid":
+                surface = newton(surface)
             pts = shell_points(surface, n, rng)
         whole = sq.project_many(surface, pts)
         monkeypatch.setattr(sq.blocks, "BLOCK", self.B)
@@ -240,7 +343,7 @@ class TestProjectionBlocks:
         for other in (blocked, in_place):
             for a, b in zip(whole, other):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        if name == "ellipsoid":
+        if name == "newton-ellipsoid":
             assert len(set(whole[2].tolist())) > 1    # Newton, varied iteration counts
 
     def test_no_convergence_names_points_across_blocks(self, flat_ellipsoid, rng,
@@ -274,11 +377,18 @@ class TestProjectionBlocks:
         assert in_place.value.indices == far
         assert in_place.value.residuals == alone
 
-    @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6)],
-                             ids=["sphere", "ellipsoid"])
+    def test_no_convergence_names_points_across_blocks_newton(
+            self, newton_ellipsoid, rng, monkeypatch, passes, one_iteration_projector):
+        self.test_no_convergence_names_points_across_blocks(
+            newton_ellipsoid, rng, monkeypatch, passes, one_iteration_projector)
+
+    @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6),
+                                         newton(sq.ellipsoid(1.0, 1.0, 0.6))],
+                             ids=["sphere", "ellipsoid", "newton-ellipsoid"])
     def test_outside_tube_names_points_across_blocks(self, surface, rng, monkeypatch,
                                                      passes):
-        # the center: closed form and Newton seed are both undefined there
+        # the center: the sphere's closed form, the ellipsoid's secular
+        # equation and the Newton seed are all undefined there
         pts = shell_points(surface, 3 * self.B, rng)
         pts[[2, 11]] = 0.0
         monkeypatch.setattr(sq.blocks, "BLOCK", self.B)
@@ -296,9 +406,11 @@ class TestProjectionBlocks:
             with pytest.raises(ValueError, match="out must be"):
                 sq.project_many(unit_sphere, pts, out=out)
 
-    @pytest.mark.parametrize("name", ["torus", "ellipsoid"])
+    @pytest.mark.parametrize("name", ["torus", "ellipsoid", "newton-ellipsoid"])
     def test_project_vertices_keeps_flat_vertices(self, name):
         surface = sq.torus(2.0, 1.0) if name == "torus" else sq.ellipsoid(1.0, 1.0, 0.6)
+        if name == "newton-ellipsoid":
+            surface = newton(surface)
         # bisection puts new vertices off the surface
         mesh = sq.bisect(sq.generate_base(surface, "struct_torus" if name == "torus"
                                           else "scaled_ellipsoid", 1))
@@ -318,6 +430,9 @@ class TestProjectionBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 3 * sum(a.nbytes for a in out)
+
+    def test_peak_memory_bounded_by_outputs_newton(self, newton_ellipsoid, rng):
+        self.test_peak_memory_bounded_by_outputs(newton_ellipsoid, rng)
 
 
 class TestCurvature:
@@ -421,7 +536,7 @@ class TestGoldmanCurvature:
         rel = self.goldman(surface)(on) / surface.gauss_curvature(on) - 1.0
         assert np.max(np.abs(rel)) <= 1e-14
         # Goldman's numerator carries the factor 1 + phi that the closed form
-        # drops, so at Newton projections the two differ by the residual
+        # drops, so at projected points the two differ by the residual
         proj = sq.project_many(surface, shell_points(surface, 2000, rng, 0.9, 1.1))[0]
         rel = self.goldman(surface)(proj) / surface.gauss_curvature(proj) - 1.0
         assert np.all(np.abs(rel) <= np.abs(surface.phi(proj)) + 1e-14)
