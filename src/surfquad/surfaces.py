@@ -402,10 +402,11 @@ def project_many(surface: ImplicitSurface, points, out=None):
     original points.
 
     The points are projected at most ``blocks.BLOCK`` at a time, into
-    outputs allocated once, so the iteration's temporaries (Hessians, the
-    closed-form step's component arrays, trial residuals; about 650 B per
-    point) do not grow with the batch.  Every operation on a point is
-    elementwise: its bits do not depend on its block.
+    outputs allocated once, so the iteration's temporaries do not grow with
+    the batch (Newton's Hessians, closed-form step components and trial
+    residuals, about 650 B per point; the ellipsoid's secular iteration,
+    about 180 B).  Every operation on a point is elementwise: its bits do not
+    depend on its block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
 

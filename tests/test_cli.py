@@ -11,7 +11,7 @@ import surfquad as sq
 from surfquad.cli import build_parser, main
 from surfquad.refmesh import KINDS
 
-from conftest import failing_nodes, newton
+from conftest import failing_nodes
 
 
 def cli_process(*args, **env):
