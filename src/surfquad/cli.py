@@ -61,7 +61,7 @@ def _add_common(p, *, levels_default=3, with_k=True, with_rule=True):
                        default=12, help="quadrature degree (default 12)")
     p.add_argument("--threads", type=_ranged_int("--threads", 1, 64),
                    default=os.environ.get("SURFQUAD_THREADS", "1"),
-                   help="worker threads for the element loop "
+                   help="face ranges built and integrated at once "
                         "(default $SURFQUAD_THREADS or 1)")
 
 

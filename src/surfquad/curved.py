@@ -154,7 +154,8 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     edge_ids, edge_id = np.unique(side_edge[first:stop], return_inverse=True)
     edge_id = edge_id.reshape(block_faces.shape)
     bases = (len(used), len(used) + len(edge_ids) * (k - 1))
-    inner = basis.node_set.side < 0
+    side, step = basis.node_set.side, basis.node_set.step
+    inner = side < 0
     n_inner = int(inner.sum())
 
     # The node table and the flat nodes are filled a block of edges or faces
@@ -166,7 +167,8 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
                           dtype=np.int32 if n_nodes < 2**31 else np.int64)
     flat_nodes = np.empty((n_nodes, 3))
     flat_nodes[:bases[0]] = verts[used]
-    steps = np.arange(1, k) / k
+    # the edge fractions: t of the node set's side-0 nodes, (0, 0) to (0, 1)
+    steps = basis.nodes[(side == 0) & (step > 0), 1]
     for rows in blocks.blocks(len(edge_ids), blocks.BLOCK // max(1, k - 1)):
         lo, hi = rows.start, rows.stop
         flat_nodes[bases[0] + lo * (k - 1):bases[0] + hi * (k - 1)] = (

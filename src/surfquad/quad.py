@@ -9,11 +9,12 @@ the element order.  An element's value does not depend on its chunk, face
 block or thread, so totals are bit-reproducible and independent of face
 numbering and thread count.
 
-``integrate_surface`` streams a mesh: one pool of workers builds, projects
-and integrates one face block (``curved.face_blocks``) per task, so memory
-beyond the mesh is that of the blocks in flight, whatever the level.  A
-prebuilt whole batch is integrated in chunks of at most ``_CHUNK`` elements,
-its nodal values taken at most ``blocks.BLOCK`` nodes at a time.
+``integrate_surface`` streams a mesh: one pool of ``threads`` workers builds,
+projects and integrates one face range (``curved.face_blocks``) per task, so
+memory beyond the mesh is that of the ranges in flight, whatever the level.
+A given batch is the one range, integrated in the calling thread.  A range is
+integrated in chunks of at most ``_CHUNK`` elements, its nodal values taken
+at most ``blocks.BLOCK`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _chart_integrals(tables: tuple, weights: np.ndarray, nodes: np.ndarray,
 
 
 def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
-                    f: Callable, surface: ImplicitSurface, threads: int = 1):
+                    f: Callable, surface: ImplicitSurface):
     """Per-element integral values, vectorized over chunks of elements, and
     the (face, error) failures of the batch's elements in face order."""
     f_nodal_unique = _nodal_values(mode, f, batch.unique_nodes)
@@ -102,8 +103,7 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
 
     out = np.empty(batch.n_elements)
     failures: list[tuple[int, Exception]] = []
-
-    def run_chunk(chunk: slice) -> None:
+    for chunk in blocks.blocks(batch.n_elements, _CHUNK):
         nodes = batch.element_nodes(chunk)                   # (C, N, 3)
         f_nodal = (None if f_nodal_unique is None
                    else f_nodal_unique[batch.node_index[chunk]])
@@ -117,34 +117,41 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
                  "element integral is not finite")):
             failures.extend((chunk.start + int(ci), error(why))
                             for ci in np.flatnonzero(mask))
-
-    _run(run_chunk, blocks.blocks(batch.n_elements, _CHUNK), threads)
     failures.sort(key=lambda t: t[0])
     return out, failures
 
 
 def _streamed_values(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
-                     k: int, rule: QuadratureRule, mode: str,
-                     threads: int = 1) -> np.ndarray:
+                     k: int, rule: QuadratureRule, mode: str, threads: int = 1,
+                     batch: ElementBatch | None = None) -> np.ndarray:
     """Per-element integral values of the mesh's degree-k elements, each face
-    block built, projected and integrated by one task, so that only the
-    blocks in flight hold nodes.  A node shared by two blocks is projected in
-    each, with the same bits, so the values are those of one whole batch."""
+    range built, projected and integrated by one task, on a pool of
+    ``threads`` workers if more than one range, so that only the ranges in
+    flight hold nodes.  A node shared by two ranges is projected in each,
+    with the same bits, so the values are those of one whole batch.  A given
+    ``batch`` (the mesh's degree-k elements) is the one range, used in place
+    of its build."""
     lagrange_basis(k)     # cached once, before the tasks share it
-    ranges = face_blocks(mesh.n_faces)
+    ranges = (face_blocks(mesh.n_faces) if batch is None
+              else [slice(0, mesh.n_faces)])
     if len(ranges) > 1:
         mesh.edges        # computed once, before the tasks share it
     out = np.empty(mesh.n_faces)
 
     def run_block(faces: slice):
         try:
-            batch = build_surface_elements(mesh, surface, k, faces)
+            elements = (build_surface_elements(mesh, surface, k, faces)
+                        if batch is None else batch)
         except IntegrationError as exc:
             return exc, []
-        out[faces], failures = _element_values(batch, rule, mode, f, surface)
+        out[faces], failures = _element_values(elements, rule, mode, f, surface)
         return None, [(faces.start + face, exc) for face, exc in failures]
 
-    results = _run(run_block, ranges, threads)
+    if threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_block, ranges))
+    else:
+        results = [run_block(faces) for faces in ranges]
     unprojected = [exc for exc, _ in results if exc is not None]
     if unprojected:
         raise merged_failures(unprojected) from unprojected[0]
@@ -154,35 +161,20 @@ def _streamed_values(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
     return out
 
 
-def _run(task: Callable, items, threads: int) -> list:
-    """``task`` over ``items``, on a pool of ``threads`` workers if more than
-    one, with the results in item order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(task, items))
-    return [task(item) for item in items]
-
-
 def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
                       k: int, rule: QuadratureRule, mode: str = MODE_INTERP,
                       threads: int = 1,
                       batch: ElementBatch | None = None) -> IntegralResult:
     """Integral of f over the degree-k curved triangulation of the mesh.
 
-    Without ``batch`` the elements are streamed a face block at a time over
-    ``threads`` workers; a given ``batch`` (the mesh's degree-k elements) is
-    integrated as a whole, its chunks over ``threads`` workers.
+    The elements are streamed a face range at a time over ``threads``
+    workers; a given ``batch`` (the mesh's degree-k elements) is integrated
+    as the one range, in the calling thread.
     """
     _check_mode(mode)
-    if batch is None:
-        values = _streamed_values(mesh, surface, f, k, rule, mode, threads)
-    elif batch.mesh is not mesh or batch.degree != k:
+    if batch is not None and (batch.mesh is not mesh or batch.degree != k):
         raise ValueError("batch must hold the degree-k elements of this mesh")
-    else:
-        values, failures = _element_values(batch, rule, mode, f, surface,
-                                           threads=threads)
-        if failures:
-            raise IntegrationError(failures)
+    values = _streamed_values(mesh, surface, f, k, rule, mode, threads, batch)
     return IntegralResult(value=_fsum(values), n_elements=mesh.n_faces,
                           mode=mode, k=k)
 

@@ -42,8 +42,9 @@ class ImplicitSurface:
     ``gauss_curvature`` is defined for points in a tubular neighborhood;
     evaluate it at projected (on-surface) points.  ``analytic_project`` and
     ``hess_phi`` are optional accelerators for the projection.
-    ``analytic_project`` maps an (n, 3) batch to its closest points; it names
-    the points it cannot project by their index in the batch, raising
+    ``analytic_project`` maps an (n, 3) batch to its closest points; it may
+    return non-finite coordinates where no closest point exists, or name the
+    points it cannot project by their index in the batch, raising
     OutsideTube or NoConvergence.
     """
 
@@ -76,11 +77,7 @@ def sphere(radius: float = 1.0) -> ImplicitSurface:
 
     def proj(p):
         p = np.asarray(p, dtype=float)
-        norms = np.linalg.norm(p, axis=-1)
-        if np.any(norms == 0.0):
-            raise OutsideTube("cannot project the sphere center",
-                              indices=np.flatnonzero(norms == 0.0))
-        return p * (radius / norms)[..., None]
+        return p * (radius / np.linalg.norm(p, axis=-1))[..., None]
 
     def hess(p):
         p = np.asarray(p, dtype=float)
@@ -136,19 +133,12 @@ def torus(major_radius: float = 2.0, minor_radius: float = 1.0) -> ImplicitSurfa
     def proj(p):
         p = np.asarray(p, dtype=float)
         rho = np.hypot(p[..., 0], p[..., 1])
-        if np.any(rho == 0.0):
-            raise OutsideTube("projection undefined on the torus axis",
-                              indices=np.flatnonzero(rho == 0.0))
         center = np.empty_like(p)
         center[..., 0] = R * p[..., 0] / rho
         center[..., 1] = R * p[..., 1] / rho
         center[..., 2] = 0.0
         v = p - center
-        vnorm = np.linalg.norm(v, axis=-1)
-        if np.any(vnorm == 0.0):
-            raise OutsideTube("projection undefined on the torus center circle",
-                              indices=np.flatnonzero(vnorm == 0.0))
-        return center + v * (r / vnorm)[..., None]
+        return center + v * (r / np.linalg.norm(v, axis=-1))[..., None]
 
     def hess(p):
         p = np.asarray(p, dtype=float)
@@ -392,9 +382,10 @@ def project_many(surface: ImplicitSurface, points, out=None):
     """Project an (n, 3) batch of points onto the surface.
 
     Returns (projected (n,3), signed distance (n,), iterations (n,),
-    residuals (n,)).  Raises OutsideTube for degenerate seeds and
-    NoConvergence if any point fails to converge within ``MAX_ITER``; both
-    name the failing points by their index in ``points``.
+    residuals (n,)).  Raises OutsideTube for degenerate seeds and for every
+    point whose projection is not finite (a non-finite point, or one with no
+    closest point), else NoConvergence if any point fails to converge within
+    ``MAX_ITER``; both name the failing points by their index in ``points``.
 
     The projections go into ``out``, a float (n, 3) array, when it is given;
     it may alias ``points``, whose original values then give the distances
@@ -424,15 +415,21 @@ def project_many(surface: ImplicitSurface, points, out=None):
     for block in blocks.blocks(n):
         try:
             if surface.analytic_project is not None:
-                proj = surface.analytic_project(pts[block])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    proj = surface.analytic_project(pts[block])
                 resid[block] = np.abs(surface.phi(proj))
             else:
                 (proj, iters[block], resid[block],
                  unconverged[block]) = _newton_block(surface, pts[block])
+            finite = np.isfinite(proj)
+            if not finite.all():
+                bad = np.flatnonzero(~finite.all(axis=1))
+                raise OutsideTube("projection is not finite (a non-finite "
+                                  "point, or no closest point)", indices=bad.tolist())
         except OutsideTube as exc:
             if outside is None:
                 outside = exc
-            outside_indices += [block.start + i for i in exc.indices]
+            outside_indices += [block.start + int(i) for i in exc.indices]
             continue
         except NoConvergence as exc:
             bad = block.start + np.asarray(exc.indices, dtype=int)
@@ -464,13 +461,12 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
     for _ in range(_FLOW_STEPS):
         g = surface.grad_phi(y)
         g2 = np.einsum("ij,ij->i", g, g)
-        vanishing = g2 <= 1e-300 * scale * scale
-        if np.any(vanishing):
-            bad = int(np.argmin(g2))
+        vanishing = np.flatnonzero(g2 <= 1e-300 * scale * scale)
+        if len(vanishing):
             raise OutsideTube(
-                f"vanishing level-set gradient at seed point {pts[bad]} "
+                f"vanishing level-set gradient at seed point {pts[vanishing[0]]} "
                 "(point outside the projectable tube)",
-                indices=np.flatnonzero(vanishing))
+                indices=vanishing.tolist())
         y -= (surface.phi(y) / g2)[:, None] * g
 
     # the residual of the stationarity system: y - x + lam grad_phi(y) and

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -373,6 +374,23 @@ class TestIntegrateSurface:
                 sq.integrate_surface(m, unit_sphere, f, k, rule, batch=batch)
         given = sq.integrate_surface(mesh, unit_sphere, f, 4, rule, batch=batch)
         assert given == sq.integrate_surface(mesh, unit_sphere, f, 4, rule)
+
+    def test_one_range_runs_in_the_calling_thread(self, unit_sphere):
+        # a given batch is the one range, as is a mesh of fewer than 2,048
+        # faces: no pool starts for either, whatever ``threads``
+        mesh = sq.bisect(sq.generate_base(unit_sphere, "octa_sphere", 1))
+        seen = set()
+
+        def f(p):
+            seen.add(threading.get_ident())
+            return np.ones(p.shape[:-1])
+
+        rule = sq.builtin_rule(12)
+        for mode in (MODE_EXACT, MODE_INTERP):
+            for batch in (build_surface_elements(mesh, unit_sphere, 4), None):
+                sq.integrate_surface(mesh, unit_sphere, f, 4, rule, mode=mode,
+                                     threads=2, batch=batch)
+        assert seen == {threading.get_ident()}
 
     def test_unknown_mode(self, unit_sphere):
         mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)

@@ -12,6 +12,16 @@ from surfquad.errors import DegeneratePoint, NoConvergence, OutsideTube
 from conftest import newton, torus_points
 
 
+def radial_sphere():
+    """The unit sphere from user callables, projected radially with no check:
+    its projector returns NaN at the centre and at non-finite points."""
+    return sq.from_level_set(
+        lambda p: np.einsum("...i,...i->...", p, p) - 1.0,
+        lambda p: 2.0 * np.asarray(p, dtype=float),
+        analytic_project=lambda p: p / np.linalg.norm(p, axis=-1, keepdims=True),
+        name="radial")
+
+
 def project_one(surface, x):
     """``project_many`` on the batch of one point: (point, distance)."""
     pts, dist, _, _ = sq.project_many(surface, np.asarray(x, dtype=float)[None])
@@ -99,6 +109,20 @@ class TestProjection:
     def test_outside_tube_torus_axis(self, torus21):
         with pytest.raises(OutsideTube):
             project_one(torus21, [0.0, 0.0, 0.5])
+
+    def test_outside_tube_torus_centre_circle(self, torus21):
+        with pytest.raises(OutsideTube):
+            project_one(torus21, [0.0, -2.0, 0.0])
+
+    def test_vanishing_gradient_names_first_seed(self, newton_ellipsoid):
+        # the Newton seed check names the first point it rejects, not the
+        # point of smallest gradient
+        with pytest.raises(OutsideTube) as err:
+            sq.project_many(newton_ellipsoid, [[0.0, np.inf, 0.0], [1.0, 0.0, 0.0]])
+        seed = err.value.__cause__
+        assert err.value.indices == seed.indices == [0]
+        assert type(seed.indices[0]) is int
+        assert "seed point [ 0. inf  0.]" in str(seed)
 
     def test_no_convergence_budget(self, flat_ellipsoid, one_iteration_projector):
         with pytest.raises(NoConvergence) as err:
@@ -383,12 +407,14 @@ class TestProjectionBlocks:
             newton_ellipsoid, rng, monkeypatch, passes, one_iteration_projector)
 
     @pytest.mark.parametrize("surface", [sq.sphere(1.0), sq.ellipsoid(1.0, 1.0, 0.6),
-                                         newton(sq.ellipsoid(1.0, 1.0, 0.6))],
-                             ids=["sphere", "ellipsoid", "newton-ellipsoid"])
+                                         newton(sq.ellipsoid(1.0, 1.0, 0.6)),
+                                         radial_sphere()],
+                             ids=["sphere", "ellipsoid", "newton-ellipsoid", "level-set"])
     def test_outside_tube_names_points_across_blocks(self, surface, rng, monkeypatch,
                                                      passes):
         # the center: the sphere's closed form, the ellipsoid's secular
-        # equation and the Newton seed are all undefined there
+        # equation, the Newton seed and a user's radial projector are all
+        # undefined there
         pts = shell_points(surface, 3 * self.B, rng)
         pts[[2, 11]] = 0.0
         monkeypatch.setattr(sq.blocks, "BLOCK", self.B)
@@ -398,6 +424,30 @@ class TestProjectionBlocks:
         with pytest.raises(OutsideTube) as err:
             sq.project_many(surface, pts, out=pts)
         assert err.value.indices == [2, 11]
+        assert passes["project_many"] == [3, 3]
+
+    @pytest.mark.parametrize("name", ["sphere", "torus", "ellipsoid", "newton-ellipsoid",
+                                      "level-set"])
+    def test_non_finite_points_named_across_blocks(self, name, rng, monkeypatch, passes):
+        # whatever the projector, a non-finite point ends in one OutsideTube
+        # that names it by its index in the input, never in a NaN result
+        if name == "torus":
+            surface = sq.torus(2.0, 1.0)
+            pts = torus_points(2.0, 1.0, 5, 3) * rng.uniform(0.9, 1.1, (15, 1))
+        else:
+            surface = {"sphere": sq.sphere(1.0), "level-set": radial_sphere(),
+                       "ellipsoid": sq.ellipsoid(1.0, 1.0, 0.6),
+                       "newton-ellipsoid": newton(sq.ellipsoid(1.0, 1.0, 0.6))}[name]
+            pts = shell_points(surface, 3 * self.B, rng)
+        pts[[2, 8, 11]] = [[np.nan, 0.5, 0.0], [0.0, np.inf, 0.0], [-np.inf, 1.0, np.nan]]
+        monkeypatch.setattr(sq.blocks, "BLOCK", self.B)
+        with pytest.raises(OutsideTube) as err:
+            sq.project_many(surface, pts)
+        assert err.value.indices == [2, 8, 11]
+        assert all(type(i) is int for i in err.value.indices)
+        with pytest.raises(OutsideTube) as err:
+            sq.project_many(surface, pts, out=pts)
+        assert err.value.indices == [2, 8, 11]
         assert passes["project_many"] == [3, 3]
 
     def test_out_shape_checked(self, unit_sphere):
