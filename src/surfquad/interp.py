@@ -35,13 +35,25 @@ COND_LIMIT = 1e12
 class ReferenceNodeSet:
     """Equidistant lattice on the reference triangle and each node's place:
     ``step`` nodes along face side ``side`` (0, 1, 2 for (0,1), (1,2), (2,0))
-    from its first corner, so corner c is (c, 0); -1 and -1 inside."""
+    from its first corner, so corner c is (c, 0); -1 and -1 inside.
+
+    The edge fractions, t of the side-0 nodes by step, must be symmetric
+    about 1/2 (t_j + t_(k-j) = 1 within a few ulps): a shared edge's nodes
+    are numbered from its smaller vertex, so the face that walks it the other
+    way reads node j as node k - j.  A set that is not raises ValueError."""
 
     degree: int
     nodes: np.ndarray     # (N, 2) float, (s, t)
     lattice: np.ndarray   # (N, 2) int, (i, j) with s = i/k, t = j/k
     side: np.ndarray      # (N,) int, 0..2 or -1
     step: np.ndarray      # (N,) int, 0..k-1 or -1
+
+    def __post_init__(self):
+        along = np.flatnonzero((self.side == 0) & (self.step > 0))
+        t = self.nodes[along[np.argsort(self.step[along])], 1]
+        if np.any(np.abs(t + t[::-1] - 1.0) > 4 * np.finfo(float).eps):
+            raise ValueError("edge fractions are not symmetric about 1/2: "
+                             "t_j + t_(k-j) must be 1")
 
     @property
     def count(self) -> int:

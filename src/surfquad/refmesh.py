@@ -4,10 +4,13 @@ Base meshes have every vertex on the target surface.  ``KINDS`` is the one
 table of mesh kinds, the surface each is made for and the parameters it
 reads.  The octahedral kinds share one integer lattice, built with array
 operations, and number its vertices by first appearance with
-``_first_appearance``, the rule ``edge_table`` numbers edges by.  Bisection
-refines with exact flat edge midpoints and does NOT re-project the new
-vertices: the fine vertices parametrize the macro triangles and keep the
-point-symmetric child pairs that ``symmetry_census`` counts.
+``_first_appearance``, the rule ``edge_table`` numbers edges by.  Both
+mesh-level passes hold only what they return: the edge table its output plus
+its keys and one stable argsort's working arrays, and ``mesh_size`` one block
+of the mesh's kept edges.  Bisection refines with exact flat edge midpoints
+and does NOT re-project the new vertices: the fine vertices parametrize the
+macro triangles and keep the point-symmetric child pairs that
+``symmetry_census`` counts.
 ``project_vertices`` re-projects every vertex instead; that removes the pairs
 (census 0) but not the even-degree gain, so the gain does not rest on exact
 pairs.
@@ -64,8 +67,9 @@ class FlatMesh:
 
     @functools.cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``edge_table(self.faces)``, computed once per mesh: bisection and
-        every face block of the curved-node build share it."""
+        """``edge_table(self.faces)``, computed once per mesh: bisection, the
+        topology checks, ``mesh_size`` and every face block of the
+        curved-node build share it."""
         table = edge_table(self.faces)
         for array in table:
             array.setflags(write=False)
@@ -83,12 +87,15 @@ class MeshStats:
 
 
 def mesh_size(mesh: FlatMesh) -> float:
-    """Max face diameter (longest edge over all faces)."""
-    tri = mesh.vertices[mesh.faces]
-    d01 = np.linalg.norm(tri[:, 0] - tri[:, 1], axis=1)
-    d12 = np.linalg.norm(tri[:, 1] - tri[:, 2], axis=1)
-    d20 = np.linalg.norm(tri[:, 2] - tri[:, 0], axis=1)
-    return float(np.max(np.stack([d01, d12, d20])))
+    """Max face diameter: the longest edge of the mesh's kept table, taken
+    ``blocks.BLOCK`` edges at a time (0.0 for a mesh with no faces).  Every
+    face side is an edge, so this is the longest face side."""
+    edges, v = mesh.edges[0], mesh.vertices
+    h = 0.0
+    for block in blocks.blocks(len(edges)):
+        a, b = edges[block].T
+        h = max(h, float(np.max(np.linalg.norm(v[a] - v[b], axis=1))))
+    return h
 
 
 def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,15 +104,22 @@ def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(edges, side_edge)``: ``edges`` is (E, 2), smaller vertex
     first, numbered in order of first appearance over the face sides (0,1),
     (1,2), (2,0), face by face; ``side_edge`` is (F, 3), the edge id of each
-    of those sides.  Bisection, the topology checks and the curved-node
-    table all key edges through this one function.
+    of those sides.  Bisection, the topology checks, ``mesh_size`` and the
+    curved-node table all key edges through this one function.  Each side's
+    key is formed from the min and max of its two vertices, one column of
+    sides at a time, so besides its output the table holds the (3F,) keys and
+    the working arrays of ``_first_appearance``.
     """
     faces = np.asarray(faces, dtype=np.int64)
-    pairs = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1)
-                    .reshape(-1, 2), axis=1)
-    first, ids = _first_appearance(
-        pairs[:, 0] * (int(pairs.max(initial=0)) + 1) + pairs[:, 1])
-    return pairs[first], ids.reshape(-1, 3)
+    base = int(faces.max(initial=0)) + 1
+    keys = np.empty(faces.shape, dtype=np.int64)
+    for c in range(3):
+        a, b = faces[:, c], faces[:, (c + 1) % 3]
+        np.minimum(a, b, out=keys[:, c])
+        keys[:, c] *= base
+        keys[:, c] += np.maximum(a, b)
+    first, ids = _first_appearance(keys.ravel())
+    return np.stack(np.divmod(keys.ravel()[first], base), axis=1), ids.reshape(-1, 3)
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +129,28 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value's first occurrence, in increasing order, and ``ids`` the number of
     every key's value, so ``keys[first][ids] == keys``.  Edges and the
     octahedral lattice's vertices are numbered by this one rule.
+
+    One stable argsort groups equal keys with their first occurrence leading;
+    the groups, numbered in key order, are then ranked by that occurrence.
+    Besides the two outputs it holds two (n,) int64 arrays (the sort order
+    and the sorted keys, reused for the group numbers) and an (n,) mask.
     """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    order = np.argsort(keys, kind="stable")
+    group = keys[order]
+    start = np.empty(len(keys), dtype=bool)
+    start[:1] = True
+    np.not_equal(group[1:], group[:-1], out=start[1:])
+    leading = order[start]           # each group's first index, in key order
+    np.cumsum(start, out=group)
+    group -= 1
+    del start
+    ids = np.empty_like(order)
+    ids[order] = group
+    del order, group
+    by_first = np.argsort(leading)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    return leading[by_first], rank[ids]
 
 
 def euler_characteristic(mesh: FlatMesh) -> int:
@@ -273,7 +303,7 @@ def symmetry_census(mesh: FlatMesh) -> MeshStats:
     corners in face order, then the faces ``fj > fi`` of that corner's fan in
     index order; the first reflected partner not yet paired wins.
     """
-    h = mesh_size(mesh) if mesh.n_faces else 0.0
+    h = mesh_size(mesh)
     tol = 1e-12 * h
     verts, own = mesh.vertices, mesh.faces.ravel()
     nxt = np.roll(mesh.faces, -1, axis=1).ravel()

@@ -452,8 +452,9 @@ def project_many(surface: ImplicitSurface, points, out=None):
 
 def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
     """Gradient flow, then damped Newton on the stationarity system, for one
-    block of points: (projections, iterations, residual norms, mask of the
-    points still above tolerance)."""
+    block of points, and one full Newton step for each point that met the
+    tolerance: (projections, iterations, residual norms, mask of the points
+    still above tolerance)."""
     scale = np.maximum(1.0, np.linalg.norm(pts, axis=-1))
 
     # gradient-flow pre-steps: basin-safe seed on (near) the zero set
@@ -515,6 +516,22 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
             alpha *= 0.5
         iters[ia] += 1
         active[ia] = rnorm[ia] > TOL * scale[ia]
+
+    # one full Newton step past the tolerance, outside the line search: the
+    # iteration stops at TOL, and the next (quadratically convergent) step
+    # reaches roundoff; kept where it is finite and still within TOL (a
+    # non-finite step has a non-finite residual)
+    done = np.flatnonzero(~active)
+    dy, dl = _kkt_step(lam[done], _hessian(surface, y[done]), g[done],
+                       stat[done], phi[done])
+    y_try = y[done] + dy
+    s_try = y_try - pts[done] + (lam[done] + dl)[:, None] * surface.grad_phi(y_try)
+    p_try = surface.phi(y_try)
+    r_try = np.sqrt(np.einsum("ij,ij->i", s_try, s_try) + p_try * p_try)
+    keep = r_try <= TOL * scale[done]
+    polished = done[keep]
+    y[polished], rnorm[polished] = y_try[keep], r_try[keep]
+    iters[polished] += 1
     return y, iters, rnorm, active
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -76,6 +77,19 @@ class TestNodes:
         assert np.array_equal(ns.nodes, ns.lattice / k)
         bary = np.column_stack([1 - ns.nodes.sum(axis=1), ns.nodes])
         assert np.min(bary) >= -1e-15
+
+    def test_asymmetric_edge_fractions_rejected(self):
+        # a reversed edge reads node j as node k - j, which needs
+        # t_j + t_(k-j) = 1; here t_1 = 0.3 against t_3 = 0.75
+        ns = sq.reference_nodes(4)
+        nodes = ns.nodes.copy()
+        nodes[(ns.side == 0) & (ns.step == 1), 1] = 0.3
+        with pytest.raises(ValueError, match="symmetric about 1/2"):
+            dataclasses.replace(ns, nodes=nodes)
+        # a shift of one ulp is roundoff, not asymmetry
+        nodes = ns.nodes.copy()
+        nodes[(ns.side == 0) & (ns.step == 1), 1] = np.nextafter(0.25, 1.0)
+        assert dataclasses.replace(ns, nodes=nodes).count == ns.count
 
     def test_vertex_ordering(self):
         ns = sq.reference_nodes(3)

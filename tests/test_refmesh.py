@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,101 @@ class TestConformity:
         assert sq.is_conforming_closed(mesh)
         assert sq.euler_characteristic(mesh) == 2
         assert calls == [mesh.n_faces]
+
+
+def _edge_table_reference(faces):
+    """``edge_table`` as it was built on ``np.unique``: the stacked and sorted
+    side pairs, keyed and numbered by first appearance."""
+    faces = np.asarray(faces, dtype=np.int64)
+    pairs = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1)
+                    .reshape(-1, 2), axis=1)
+    keys = pairs[:, 0] * (int(pairs.max(initial=0)) + 1) + pairs[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return pairs[first[order]], rank[inverse.ravel()].reshape(-1, 3)
+
+
+def _mesh_size_reference(mesh):
+    """The longest face side from the (F, 3, 3) face corners."""
+    tri = mesh.vertices[mesh.faces]
+    d01 = np.linalg.norm(tri[:, 0] - tri[:, 1], axis=1)
+    d12 = np.linalg.norm(tri[:, 1] - tri[:, 2], axis=1)
+    d20 = np.linalg.norm(tri[:, 2] - tri[:, 0], axis=1)
+    return float(np.max(np.stack([d01, d12, d20])))
+
+
+def _random_face_arrays():
+    rng = np.random.default_rng(11)
+    closed = sq.bisect(sq.bisect(sq.generate_base(sq.sphere(1.0), "octa_sphere", 2)))
+    repeated = rng.integers(0, 40, (300, 3))
+    repeated[::3, 1] = repeated[::3, 0]
+    return {
+        # a closed mesh with a third of its faces dropped, in random order
+        "open": closed.faces[rng.permutation(closed.n_faces)[:2 * closed.n_faces // 3]],
+        # three distinct vertices per face out of 12: most edges in 3+ faces
+        "non_manifold": np.array([rng.choice(12, 3, replace=False) for _ in range(200)]),
+        "repeated_vertex": repeated,
+        "one_face": np.array([[7, 2, 5]]),
+        "no_faces": np.zeros((0, 3), dtype=np.int64),
+    }
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("case", list(_random_face_arrays()))
+    def test_matches_unique_reference(self, case):
+        faces = _random_face_arrays()[case]
+        got, want = sq.refmesh.edge_table(faces), _edge_table_reference(faces)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("levels", [3, 5])
+    def test_peak_memory_flat_across_levels(self, torus21, levels):
+        # the table holds its output, the (3F,) keys and the numbering's
+        # working arrays (2.5x its output); the unique-based table peaked at
+        # 4.5x.  mesh_size reads the kept table a block of edges at a time.
+        mesh = sq.generate_base(torus21, "struct_torus", 2)
+        for _ in range(levels):
+            mesh = sq.bisect(mesh)
+        edges, side_edge = mesh.edges
+        tracemalloc.start()
+        try:
+            sq.refmesh.edge_table(mesh.faces)
+            table_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sq.mesh_size(mesh)
+            size_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_peak <= 3.5 * (edges.nbytes + side_edge.nbytes)
+        assert size_peak < 1e6
+
+
+class TestMeshSize:
+    @pytest.mark.parametrize("kind, surface", [
+        ("octa_sphere", sq.sphere(1.0)), ("struct_torus", sq.torus(2.0, 1.0)),
+        ("scaled_ellipsoid", sq.ellipsoid(1.3, 0.9, 0.6))],
+        ids=["octa_sphere", "struct_torus", "scaled_ellipsoid"])
+    def test_equals_face_side_formula(self, kind, surface):
+        # every face side is an edge and |a - b| = |b - a|, bit for bit
+        mesh = sq.generate_base(surface, kind, 2)
+        for level in range(5):
+            assert sq.mesh_size(mesh) == _mesh_size_reference(mesh)
+            if level < 4:
+                mesh = sq.bisect(mesh)
+
+    def test_blocked_pass_same_value(self, torus21, monkeypatch, passes):
+        mesh = sq.bisect(sq.generate_base(torus21, "struct_torus", 2))
+        monkeypatch.setattr(sq.blocks, "BLOCK", 50)
+        assert sq.mesh_size(mesh) == _mesh_size_reference(mesh)
+        assert passes["mesh_size"] == [-(-len(mesh.edges[0]) // 50)]
+
+    def test_no_faces(self):
+        # used to raise numpy's zero-size reduction ValueError
+        assert sq.mesh_size(_EMPTY_MESH) == 0.0
+        assert sq.mesh_size(FlatMesh(np.eye(3), np.zeros((0, 3), int))) == 0.0
 
 
 def _bisect_reference(mesh):

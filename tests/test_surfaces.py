@@ -147,6 +147,30 @@ class TestProjection:
         assert err.value.indices == [0]
         assert math.isfinite(err.value.residual)
 
+    def test_newton_nodes_reach_roundoff(self, newton_ellipsoid):
+        # one full Newton step past TOL: the level-3 nodes (res 2, k 4) lie on
+        # the surface to roundoff; stopping at TOL left them up to 158 eps off
+        mesh = sq.generate_base(newton_ellipsoid, "scaled_ellipsoid", 2)
+        for _ in range(3):
+            mesh = sq.bisect(mesh)
+        nodes = sq.build_surface_elements(mesh, newton_ellipsoid, 4).unique_nodes
+        off = (np.abs(newton_ellipsoid.phi(nodes))
+               / np.linalg.norm(newton_ellipsoid.grad_phi(nodes), axis=1))
+        assert np.max(off) <= 4 * np.finfo(float).eps
+
+    def test_non_finite_final_step_dropped(self, flat_ellipsoid):
+        # a point on the surface meets TOL before any iteration; its step past
+        # TOL is kept only where finite, so a NaN Hessian leaves it in place
+        # with no iteration, and a finite one takes the (zero) step
+        nan_hess = sq.from_level_set(flat_ellipsoid.phi, flat_ellipsoid.grad_phi,
+                                     hess_phi=lambda p: np.full(p.shape + (3,), np.nan))
+        on = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+        for surface, steps in ((nan_hess, 0), (newton(flat_ellipsoid), 1)):
+            proj, dist, iters, resid = sq.project_many(surface, on)
+            assert proj.tolist() == on
+            assert iters.tolist() == [steps, steps]
+            assert dist.tolist() == resid.tolist() == [0.0, 0.0]
+
     def test_stalled_point_costs_only_its_own_trials(self, flat_ellipsoid, rng):
         # a point on the z-axis above the pole, where the Hessian is NaN,
         # stalls; the line search evaluates only the points still searching,
