@@ -18,7 +18,7 @@ import numpy as np
 
 from . import blocks, study, text
 from .curved import build_surface_elements, face_blocks, merged_failures
-from .errors import IntegrationError, SurfquadError
+from .errors import IntegrationError, SurfquadError, TopologyMismatch
 from .interp import cheb_lebesgue, lagrange_basis, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, integrate_surface
 from .quadrules import builtin_rule
@@ -122,9 +122,13 @@ def _emit(content: str, out_path) -> None:
         sys.stdout.write(content)
 
 
-def _surface_or_usage(parser, spec):
+def _surface_or_usage(parser, args):
+    """The parsed ``--surface``, which must have the target of a study."""
     try:
-        return parse_surface(spec)
+        surface = parse_surface(args.surface)
+        if args.command in ("converge", "runge-study"):
+            study.exact_target(surface, args.f)
+        return surface
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -168,7 +172,7 @@ def _write_curved_nodes(mesh, surface, k, path) -> None:
 def run(args, parser) -> int:
     surface = None
     if hasattr(args, "surface"):
-        surface = _surface_or_usage(parser, args.surface)
+        surface = _surface_or_usage(parser, args)
 
     if args.command == "mesh":
         mesh = _refined_mesh(surface, args)
@@ -235,6 +239,8 @@ def main(argv=None) -> int:
         print(f"surfquad: integration failed ({len(exc.failures)} face/node "
               "failure(s))", file=sys.stderr)
         return 1
+    except TopologyMismatch as exc:
+        parser.error(str(exc))
     except SurfquadError as exc:
         print(f"surfquad: {exc}", file=sys.stderr)
         return 1

@@ -5,12 +5,13 @@ the affine chart and projected onto the surface; interpolating the projected
 nodes gives the element's polynomial chart.  Elements are built for a
 contiguous range of a mesh's faces (the whole mesh by default; a single
 element is the face of a one-face mesh): the nodes are deduplicated through
-the vertex ids and the mesh's one edge table before projection, so shared
-edge nodes of neighboring elements are bitwise identical (watertight), also
-when the two faces fall in different ranges.  ``_node_ids`` numbers them from
-the node set's placement table, for a range and for a failure's whole-mesh
-ids.  Integration and the node export stream a fine mesh through
-``face_blocks``, so no mesh-wide node table exists.
+the vertex ids and the edge table of the range's own faces before
+projection, so shared edge nodes of neighboring elements are bitwise
+identical (watertight), also when the two faces fall in different ranges.
+``_node_ids`` numbers them from the node set's placement table, for a range
+and for a failure's whole-mesh ids.  Integration and the node export stream
+a fine mesh through ``face_blocks``: no mesh-wide node table exists, nor an
+edge table unless a projection fails.
 """
 
 from __future__ import annotations
@@ -126,16 +127,16 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     by default), with shared-edge nodes deduplicated.
 
     The range's nodes are its vertices, then k-1 nodes per edge, then each
-    face's interior nodes, each group in the whole mesh's order (vertex index,
-    ``edge_table`` id, face): a range's nodes are those of the whole mesh's
-    build, in the same order.  Edge-node flat coordinates are computed from
-    the canonical (smaller global vertex first) parametrization and every
-    node is projected elementwise, so the faces that share a node, in one
-    range or in two, get the identical floating-point point and projection.
-    A partial range's batch holds its faces as a mesh over the same vertices:
-    its node table and face numbers are local, while a projection failure
-    names faces of the whole mesh and, in each sub-error's ``indices``, the
-    node's id in the whole mesh's build.
+    face's interior nodes, each group in the range's order (vertex index, id
+    in the ``edge_table`` of the range's faces, face): a range's nodes are
+    those of the whole mesh's build, each once.  Edge-node flat coordinates
+    are computed from the canonical (smaller global vertex first)
+    parametrization and every node is projected elementwise, so the faces
+    that share a node, in one range or in two, get the identical
+    floating-point point and projection.  A partial range's batch holds its
+    faces as a mesh over the same vertices: its node table and face numbers
+    are local, while a projection failure names faces of the whole mesh and,
+    in each sub-error's ``indices``, its whole-mesh id (from ``mesh.edges``).
     """
     basis = lagrange_basis(degree)
     k = degree
@@ -146,14 +147,10 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     block = (mesh if (first, stop) == (0, mesh.n_faces)
              else FlatMesh(mesh.vertices, mesh.faces[first:stop]))
     verts, block_faces = mesh.vertices, block.faces
-    # a partial range reads the mesh's kept edge table; the whole mesh's build
-    # makes its own and frees it before projecting
-    edges, side_edge = edge_table(mesh.faces) if block is mesh else mesh.edges
+    edges, edge_id = edge_table(block_faces)
     used, vertex_id = np.unique(block_faces, return_inverse=True)
     vertex_id = vertex_id.reshape(block_faces.shape)
-    edge_ids, edge_id = np.unique(side_edge[first:stop], return_inverse=True)
-    edge_id = edge_id.reshape(block_faces.shape)
-    bases = (len(used), len(used) + len(edge_ids) * (k - 1))
+    bases = (len(used), len(used) + len(edges) * (k - 1))
     side, step = basis.node_set.side, basis.node_set.step
     inner = side < 0
     n_inner = int(inner.sum())
@@ -169,10 +166,10 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
     flat_nodes[:bases[0]] = verts[used]
     # the edge fractions: t of the node set's side-0 nodes, (0, 0) to (0, 1)
     steps = basis.nodes[(side == 0) & (step > 0), 1]
-    for rows in blocks.blocks(len(edge_ids), blocks.BLOCK // max(1, k - 1)):
+    for rows in blocks.blocks(len(edges), blocks.BLOCK // max(1, k - 1)):
         lo, hi = rows.start, rows.stop
         flat_nodes[bases[0] + lo * (k - 1):bases[0] + hi * (k - 1)] = (
-            _edge_nodes(verts, edges[edge_ids[rows]], steps))
+            _edge_nodes(verts, edges[rows], steps))
     for rows in blocks.blocks(len(block_faces), blocks.BLOCK // basis.count):
         lo, hi = rows.start, rows.stop
         f = block_faces[rows]
@@ -180,8 +177,7 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
                                      np.arange(lo, hi), bases)
         flat_nodes[bases[1] + lo * n_inner:bases[1] + hi * n_inner] = (
             affine_chart_points(verts[f], basis.nodes[inner]).reshape(-1, 3))
-    # not needed while projecting
-    del edges, side_edge, used, vertex_id, edge_ids, edge_id
+    del edges, edge_id, used, vertex_id     # not needed while projecting
     try:
         # projected in place: the flat nodes are not needed afterwards
         project_many(surface, flat_nodes, out=flat_nodes)

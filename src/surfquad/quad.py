@@ -134,8 +134,6 @@ def _streamed_values(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
     lagrange_basis(k)     # cached once, before the tasks share it
     ranges = (face_blocks(mesh.n_faces) if batch is None
               else [slice(0, mesh.n_faces)])
-    if len(ranges) > 1:
-        mesh.edges        # computed once, before the tasks share it
     out = np.empty(mesh.n_faces)
 
     def run_block(faces: slice):

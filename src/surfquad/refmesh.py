@@ -68,8 +68,8 @@ class FlatMesh:
     @functools.cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """``edge_table(self.faces)``, computed once per mesh: bisection, the
-        topology checks, ``mesh_size`` and every face block of the
-        curved-node build share it."""
+        topology checks, ``mesh_size`` and the census share it, and a curved
+        build reads it only to name a failing node by its whole-mesh id."""
         table = edge_table(self.faces)
         for array in table:
             array.setflags(write=False)
@@ -104,11 +104,11 @@ def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(edges, side_edge)``: ``edges`` is (E, 2), smaller vertex
     first, numbered in order of first appearance over the face sides (0,1),
     (1,2), (2,0), face by face; ``side_edge`` is (F, 3), the edge id of each
-    of those sides.  Bisection, the topology checks, ``mesh_size`` and the
-    curved-node table all key edges through this one function.  Each side's
-    key is formed from the min and max of its two vertices, one column of
-    sides at a time, so besides its output the table holds the (3F,) keys and
-    the working arrays of ``_first_appearance``.
+    of those sides.  Bisection, the topology checks, ``mesh_size`` and every
+    range of the curved-node build key edges through this one function.
+    Each side's key is formed from the min and max of its two vertices, one
+    column of sides at a time, so besides its output the table holds the
+    (3F,) keys and the working arrays of ``_first_appearance``.
     """
     faces = np.asarray(faces, dtype=np.int64)
     base = int(faces.max(initial=0)) + 1
@@ -235,8 +235,9 @@ def generate_base(surface: ImplicitSurface, kind: str, resolution: int) -> FlatM
     ``struct_torus`` ((4*res)^2 angular grid with checkerboard diagonals),
     ``scaled_ellipsoid`` (octa_sphere stretched onto the ellipsoid axes).
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    if (isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer))
+            or resolution < 1):
+        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
     if kind not in KINDS:
         raise ValueError(f"unknown mesh kind {kind!r}")
     name, keys = KINDS[kind]

@@ -470,14 +470,11 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
                 indices=vanishing.tolist())
         y -= (surface.phi(y) / g2)[:, None] * g
 
-    # the residual of the stationarity system: y - x + lam grad_phi(y) and
-    # phi(y); grad_phi at the current iterate is kept for the next step
+    # grad_phi at the current iterate is kept for the next step
     g = surface.grad_phi(y)
     g2 = np.einsum("ij,ij->i", g, g)
     lam = np.einsum("ij,ij->i", pts - y, g) / g2
-    stat = y - pts + lam[:, None] * g
-    phi = surface.phi(y)
-    rnorm = np.sqrt(np.einsum("ij,ij->i", stat, stat) + phi * phi)
+    _, stat, phi, rnorm = _residual(surface, pts, y, lam, g)
     iters = np.zeros(len(pts), dtype=int)
     active = rnorm > TOL * scale
 
@@ -495,21 +492,14 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
         idx, target, best = ia, pts[ia], rnorm[ia]
         alpha = 1.0
         for _ in range(40):
-            y_try = ya + alpha * dy
-            l_try = la + alpha * dl
-            g_try = surface.grad_phi(y_try)
-            s_try = y_try - target + l_try[:, None] * g_try
-            p_try = surface.phi(y_try)
-            r_try = np.sqrt(np.einsum("ij,ij->i", s_try, s_try) + p_try * p_try)
-            improved = r_try < best
-            if np.all(improved):
-                y[idx], lam[idx], g[idx] = y_try, l_try, g_try
-                stat[idx], phi[idx], rnorm[idx] = s_try, p_try, r_try
-                break
+            y_try, l_try = ya + alpha * dy, la + alpha * dl
+            trial = (y_try, l_try, *_residual(surface, target, y_try, l_try))
+            improved = trial[-1] < best
             accepted = idx[improved]
-            y[accepted], lam[accepted] = y_try[improved], l_try[improved]
-            g[accepted], stat[accepted] = g_try[improved], s_try[improved]
-            phi[accepted], rnorm[accepted] = p_try[improved], r_try[improved]
+            for kept, tried in zip((y, lam, g, stat, phi, rnorm), trial):
+                kept[accepted] = tried[improved]
+            if np.all(improved):
+                break
             searching = ~improved
             idx, ya, la, dy, dl, target, best = (
                 x[searching] for x in (idx, ya, la, dy, dl, target, best))
@@ -525,14 +515,21 @@ def _newton_block(surface: ImplicitSurface, pts: np.ndarray):
     dy, dl = _kkt_step(lam[done], _hessian(surface, y[done]), g[done],
                        stat[done], phi[done])
     y_try = y[done] + dy
-    s_try = y_try - pts[done] + (lam[done] + dl)[:, None] * surface.grad_phi(y_try)
-    p_try = surface.phi(y_try)
-    r_try = np.sqrt(np.einsum("ij,ij->i", s_try, s_try) + p_try * p_try)
+    r_try = _residual(surface, pts[done], y_try, lam[done] + dl)[3]
     keep = r_try <= TOL * scale[done]
     polished = done[keep]
     y[polished], rnorm[polished] = y_try[keep], r_try[keep]
     iters[polished] += 1
     return y, iters, rnorm, active
+
+
+def _residual(surface: ImplicitSurface, pts, y, lam, g=None):
+    """grad_phi(y) (``g`` if given) and the stationarity residual at targets
+    pts: y - pts + lam grad_phi(y), phi(y) and the norm of the two."""
+    g = surface.grad_phi(y) if g is None else g
+    stat = y - pts + lam[:, None] * g
+    phi = surface.phi(y)
+    return g, stat, phi, np.sqrt(np.einsum("ij,ij->i", stat, stat) + phi * phi)
 
 
 def _kkt_step(lam, hess, grad, stat, phi):

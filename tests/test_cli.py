@@ -122,6 +122,41 @@ class TestParsing:
         for name in ("mesh", "integrate", "converge", "runge-study", "lebesgue"):
             assert name in out
 
+    @pytest.mark.parametrize("command", ["mesh", "integrate", "converge",
+                                         "runge-study"])
+    def test_kind_for_another_surface_exits_2(self, tmp_path, capsys, command):
+        # used to print the message and exit 1, the numerical-failure code
+        off = tmp_path / "m.off"
+        argv = f"{command} --surface sphere:R=1 --kind struct_torus --levels 0".split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--out", str(off)] if command == "mesh" else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: struct_torus requires the torus surface, got sphere" in err
+        assert not off.exists()
+
+    @pytest.mark.parametrize("command", ["converge", "runge-study"])
+    def test_missing_study_target_exits_2(self, capsys, monkeypatch, command):
+        # the ellipsoid has no closed-form area: a usage error before any mesh
+        # is built, where it used to be a ValueError (runge-study's after
+        # refining the mesh)
+        def no_mesh(*args):
+            raise AssertionError("a mesh was built")
+
+        for module in (sq.cli, sq.study):
+            monkeypatch.setattr(module, "generate_base", no_mesh)
+        with pytest.raises(SystemExit) as exc:
+            main(f"{command} --surface ellipsoid:a=1,b=1,c=0.6 --kind scaled_ellipsoid "
+                 "--res 1 --levels 1 --f one".split())
+        assert exc.value.code == 2
+        assert "error: no closed-form area for ellipsoid" in capsys.readouterr().err
+
+    def test_integrate_needs_no_target(self, capsys):
+        code = main("integrate --surface ellipsoid:a=1,b=1,c=0.6 --kind "
+                    "scaled_ellipsoid --res 1 --levels 1 --k 2 --f one".split())
+        assert code == 0
+        assert capsys.readouterr().out.startswith("value,n_elements,h\n")
+
 
 class TestMeshCommand:
     def test_writes_off(self, tmp_path):
@@ -190,17 +225,16 @@ class TestMeshCommand:
                                                          newton_ellipsoid)
 
     def test_curved_nodes_write_memory_flat(self, tmp_path, monkeypatch):
-        # the export's memory above the mesh and its kept edge table is one
-        # face block's (64 faces of 15 rows, built and written as one block),
-        # whatever the number of blocks (2 and 32 here): every block is built
-        # after the peak is reset
+        # the export's memory above the mesh is one face block's (64 faces of
+        # 15 rows, built and written as one block, with the edge table of its
+        # own faces), whatever the number of blocks (2 and 32 here): every
+        # block is built after the peak is reset
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 64)
         monkeypatch.setattr(sq.blocks, "BLOCK", 64 * 15)
         at_first_block = []
 
         def reset_peak_then_build(mesh, *args):
             if len(at_first_block) < len(peaks) + 1:
-                mesh.edges     # made by the first block, kept with the mesh
                 tracemalloc.reset_peak()
                 at_first_block.append(tracemalloc.get_traced_memory()[0])
             return sq.build_surface_elements(mesh, *args)

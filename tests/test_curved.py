@@ -338,7 +338,8 @@ class TestBuildBlocks:
 
 class TestFaceRanges:
     """A face range's build is the whole batch restricted to its faces: its
-    nodes are the whole batch's, bit for bit, in the same order."""
+    elements' nodes are the whole batch's, bit for bit, each node once; its
+    edge nodes are numbered by the range's own edge table."""
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_range_is_whole_batch_restricted(self, torus21, flat_ellipsoid, k,
@@ -355,11 +356,27 @@ class TestFaceRanges:
             assert full.unique_nodes.tobytes() == whole.unique_nodes.tobytes()
             for faces in (slice(0, 1), slice(5, 12), slice(17, None), slice(-3, None)):
                 part = build_surface_elements(mesh, surface, k, faces)
-                ids = np.unique(whole.node_index[faces])
-                assert part.unique_nodes.tobytes() == whole.unique_nodes[ids].tobytes()
-                assert np.array_equal(ids[part.node_index], whole.node_index[faces])
+                assert (part.element_nodes().tobytes()
+                        == whole.element_nodes(faces).tobytes())
+                assert len(part.unique_nodes) == len(np.unique(whole.node_index[faces]))
                 assert np.array_equal(part.mesh.faces, mesh.faces[faces])
                 assert part.mesh.vertices is mesh.vertices
+
+    def test_streaming_builds_no_mesh_edge_table(self, torus21, tmp_path,
+                                                 monkeypatch):
+        # every range numbers its edges with the table of its own faces, so
+        # neither streamed integration nor the node export keeps a mesh-wide
+        # edge table on a mesh whose builds all succeed
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 7)
+        mesh = sq.bisect(sq.generate_base(torus21, "struct_torus", 1))
+        assert len(sq.curved.face_blocks(mesh.n_faces)) == 19
+        rule = sq.builtin_rule(12)
+        for threads in (1, 2):
+            sq.integrate_surface(mesh, torus21, torus21.gauss_curvature, 4, rule,
+                                 threads=threads)
+            assert "edges" not in vars(mesh)
+        cli._write_curved_nodes(mesh, torus21, 4, tmp_path / "nodes.csv")
+        assert "edges" not in vars(mesh)
 
     def test_rejects_strided_range(self, unit_sphere):
         mesh = sq.generate_base(unit_sphere, "octa_sphere", 1)

@@ -434,10 +434,10 @@ class TestStreamedIntegration:
                     assert total.n_elements == mesh.n_faces
 
     def test_peak_memory_flat_in_level(self, torus21):
-        # A repeated call finds the mesh's edge table kept, so its peak is
-        # that of one 2,048-face block and the (F,) element values: 2.9 MB at
-        # level 3 (4 blocks) and 3.1 MB at level 4 (16 blocks).  A whole
-        # batch peaks at 5.4 and 18.6 MB.
+        # Every block numbers its edges with its own faces' table, so a call
+        # peaks at one 2,048-face block and the (F,) element values: 2.9 MB
+        # at level 3 (4 blocks) and 3.1 MB at level 4 (16 blocks), also on a
+        # mesh's first call.  A whole batch peaks at 5.4 and 18.6 MB.
         rule = sq.builtin_rule(12)
         mesh = sq.generate_base(torus21, "struct_torus", 2)
         for _ in range(3):

@@ -87,6 +87,22 @@ class TestGenerators:
         with pytest.raises(ValueError):
             sq.generate_base(unit_sphere, "icosahedron", 1)
 
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_resolution_must_be_an_integer(self, kind, unit_sphere, torus21,
+                                           flat_ellipsoid):
+        # a float resolution used to build a grid that does not close (1.1 on
+        # the torus: 50 faces, chi = 2) and True one of resolution 1
+        surface = {"sphere": unit_sphere, "torus": torus21,
+                   "ellipsoid": flat_ellipsoid}[KINDS[kind][0]]
+        for bad in (1.1, 1.5, 2.0, True, np.True_):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                sq.generate_base(surface, kind, bad)
+        mesh = sq.generate_base(surface, kind, 2)
+        for res in (np.int64(2), np.int32(2)):
+            same = sq.generate_base(surface, kind, res)
+            assert same.vertices.tobytes() == mesh.vertices.tobytes()
+            assert np.array_equal(same.faces, mesh.faces)
+
 
 def _subdivided_octa_reference(res):
     """Integer barycentric keys deduplicated through a dict, face by face and
