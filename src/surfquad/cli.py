@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import blocks, study, text
-from .curved import build_surface_elements, face_blocks, merged_failures
+from .curved import build_surface_elements, face_blocks, stream
 from .errors import IntegrationError, SurfquadError, TopologyMismatch
 from .interp import cheb_lebesgue, lagrange_basis, lebesgue_formula
 from .quad import MODE_EXACT, MODE_INTERP, integrate_surface
@@ -142,31 +142,24 @@ def _refined_mesh(surface, args):
 
 def _write_curved_nodes(mesh, surface, k, path) -> None:
     """The projected nodes of every face as CSV rows face,node,x,y,z, built
-    a face block at a time and written at most ``blocks.BLOCK`` lines (whole
-    faces) at a time.  Projection failures of all blocks are raised together;
-    the file then ends before the first failing block."""
+    a face range at a time by ``stream`` and written at most ``blocks.BLOCK``
+    lines (whole faces) at a time; the file ends before the first failing
+    range."""
     count = lagrange_basis(k).count
     node_cols = text.concat(text.literal(","), text.ints(range(count)), text.literal(","))
-    failed = []
     with open(path, "wb") as fh:
         fh.write(b"face,node,x,y,z\n")
-        for faces in face_blocks(mesh.n_faces):
-            try:
-                batch = build_surface_elements(mesh, surface, k, faces)
-            except IntegrationError as exc:
-                failed.append(exc)
-            if failed:
-                continue
-            # each node of the block is formatted once; a node shared with
-            # another block is formatted in each
+        for faces, batch in stream(
+                lambda faces: build_surface_elements(mesh, surface, k, faces),
+                face_blocks(mesh.n_faces)):
+            # each node of the range is formatted once; a node shared with
+            # another range is formatted in each
             coords = text.line(text.floats(batch.unique_nodes), ",")
             for rows in blocks.blocks(batch.n_elements, blocks.BLOCK // count):
                 face = text.ints(np.arange(faces.start + rows.start,
                                            faces.start + rows.stop)[:, None])
                 fh.write(text.packed(text.concat(face, node_cols,
                                                  coords[batch.node_index[rows]])))
-    if failed:
-        raise merged_failures(failed) from failed[0]
 
 
 def run(args, parser) -> int:

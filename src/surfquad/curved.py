@@ -9,13 +9,15 @@ the vertex ids and the edge table of the range's own faces before
 projection, so shared edge nodes of neighboring elements are bitwise
 identical (watertight), also when the two faces fall in different ranges.
 ``_node_ids`` numbers them from the node set's placement table, for a range
-and for a failure's whole-mesh ids.  Integration and the node export stream
-a fine mesh through ``face_blocks``: no mesh-wide node table exists, nor an
-edge table unless a projection fails.
+and for a failure's whole-mesh ids.  Every pass over a fine mesh (integration,
+the node export) runs one task per ``face_blocks`` range through ``stream``,
+the one owner of the thread pool and of the ranges' failure merge: no
+mesh-wide node table exists, nor an edge table unless a projection fails.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,7 +108,6 @@ class ElementBatch:
     """The curved elements of a mesh or of a range of its faces, sharing one
     deduplicated node table."""
 
-    degree: int
     basis: LagrangeBasis
     mesh: FlatMesh
     node_index: np.ndarray        # (F, N) rows of indices into unique_nodes
@@ -189,7 +190,7 @@ def build_surface_elements(mesh: FlatMesh, surface: ImplicitSurface,
             (len(vertices), len(vertices) + len(mesh.edges[0]) * (k - 1)))
         raise IntegrationError(
             _locate_failures(node_index, exc, first, mesh_ids)) from exc
-    return ElementBatch(degree=degree, basis=basis, mesh=block,
+    return ElementBatch(basis=basis, mesh=block,
                         node_index=node_index, unique_nodes=flat_nodes)
 
 
@@ -253,17 +254,40 @@ def _locate_failures(node_index: np.ndarray, exc, first: int, mesh_ids):
     return failures or [(-1, exc)]
 
 
-def merged_failures(errors) -> IntegrationError:
-    """One error for the projection failures raised by the builds of
-    successive face ranges, listed as one build of their union lists them:
-    each failing node once, at its first slot, in node-id order; only the
-    nodes outside the tube if there are any, since those stop a projection
-    before its convergence is judged."""
-    first = {}
-    for err in errors:
-        for face, sub in err.failures:
-            first.setdefault(sub.indices[0] if sub.indices else -1, (face, sub))
-    failures = [first[node] for node in sorted(first)]
-    outside = [(face, sub) for face, sub in failures
-               if isinstance(sub, OutsideTube)]
-    return IntegrationError(outside or failures)
+def stream(task, ranges: list[slice], threads: int = 1):
+    """Yield ``(faces, task(faces))`` for each face range, in range order; the
+    tasks run on a pool of ``threads`` workers if there is more than one
+    range, else in the calling thread.  Once a task raises
+    ``IntegrationError`` nothing more is yielded, but every task still runs;
+    the projection failures of all ranges are then raised as one build of
+    their union lists them: each failing node once, at its first slot, in
+    node-id order; only the nodes outside the tube if there are any, since
+    those stop a projection before its convergence is judged."""
+    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
+            or threads < 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+    def attempt(faces):
+        try:
+            return task(faces), None
+        except IntegrationError as exc:
+            return None, exc
+
+    errors = []
+    # an executor starts no thread until it is handed a task
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 and len(ranges) > 1 else map
+        for faces, (result, exc) in zip(ranges, run(attempt, ranges)):
+            if exc is not None:
+                errors.append(exc)
+            elif not errors:
+                yield faces, result
+    if errors:
+        first = {}
+        for err in errors:
+            for face, sub in err.failures:
+                first.setdefault(sub.indices[0] if sub.indices else -1, (face, sub))
+        failures = [first[node] for node in sorted(first)]
+        outside = [(face, sub) for face, sub in failures
+                   if isinstance(sub, OutsideTube)]
+        raise IntegrationError(outside or failures) from errors[0]

@@ -9,10 +9,8 @@ the element order.  An element's value does not depend on its chunk, face
 block or thread, so totals are bit-reproducible and independent of face
 numbering and thread count.
 
-``integrate_surface`` streams a mesh: one pool of ``threads`` workers builds,
-projects and integrates one face range (``curved.face_blocks``) per task, so
-memory beyond the mesh is that of the ranges in flight, whatever the level.
-A given batch is the one range, integrated in the calling thread.  A range is
+``integrate_surface`` builds, projects and integrates one face range per
+``curved.stream`` task; a given batch is the one range.  A range is
 integrated in chunks of at most ``_CHUNK`` elements, its nodal values taken
 at most ``blocks.BLOCK`` nodes at a time.
 """
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +27,7 @@ import numpy as np
 from . import blocks
 from .curved import (_CENTROID, _FOLDED, _SINGULAR, ElementBatch,
                      _chart_metric, _chart_points, _folded_charts,
-                     build_surface_elements, face_blocks, merged_failures)
+                     build_surface_elements, face_blocks, stream)
 from .errors import DegenerateJacobian, DegeneratePoint, IntegrationError
 from .interp import lagrange_basis
 # monomial_integral stays importable from here for the acceptance checks
@@ -53,16 +50,10 @@ class IntegralResult:
     k: int
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in (MODE_EXACT, MODE_INTERP):
-        raise ValueError(f"unknown integration mode {mode!r}")
-
-
 def _nodal_values(mode: str, f: Callable, nodes: np.ndarray):
     """f at the (n, 3) projected nodes in interp mode, at most
     ``blocks.BLOCK`` nodes at a time into one (n,) array; None in exact
     mode."""
-    _check_mode(mode)
     if mode == MODE_EXACT:
         return None
     values = np.empty(len(nodes))
@@ -124,36 +115,23 @@ def _element_values(batch: ElementBatch, rule: QuadratureRule, mode: str,
 def _streamed_values(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
                      k: int, rule: QuadratureRule, mode: str, threads: int = 1,
                      batch: ElementBatch | None = None) -> np.ndarray:
-    """Per-element integral values of the mesh's degree-k elements, each face
-    range built, projected and integrated by one task, on a pool of
-    ``threads`` workers if more than one range, so that only the ranges in
-    flight hold nodes.  A node shared by two ranges is projected in each,
-    with the same bits, so the values are those of one whole batch.  A given
-    ``batch`` (the mesh's degree-k elements) is the one range, used in place
-    of its build."""
+    """Per-element integral values of the mesh's degree-k elements, one face
+    range built, projected and integrated per ``stream`` task.  A given
+    ``batch`` (the mesh's degree-k elements) is the one range."""
     lagrange_basis(k)     # cached once, before the tasks share it
     ranges = (face_blocks(mesh.n_faces) if batch is None
               else [slice(0, mesh.n_faces)])
+
+    def integrate(faces: slice):
+        elements = (build_surface_elements(mesh, surface, k, faces)
+                    if batch is None else batch)
+        return _element_values(elements, rule, mode, f, surface)
+
     out = np.empty(mesh.n_faces)
-
-    def run_block(faces: slice):
-        try:
-            elements = (build_surface_elements(mesh, surface, k, faces)
-                        if batch is None else batch)
-        except IntegrationError as exc:
-            return exc, []
-        out[faces], failures = _element_values(elements, rule, mode, f, surface)
-        return None, [(faces.start + face, exc) for face, exc in failures]
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, ranges))
-    else:
-        results = [run_block(faces) for faces in ranges]
-    unprojected = [exc for exc, _ in results if exc is not None]
-    if unprojected:
-        raise merged_failures(unprojected) from unprojected[0]
-    failures = [failure for _, block in results for failure in block]
+    failures = []
+    for faces, (values, failed) in stream(integrate, ranges, threads):
+        out[faces] = values
+        failures.extend((faces.start + face, exc) for face, exc in failed)
     if failures:
         raise IntegrationError(failures)
     return out
@@ -169,8 +147,9 @@ def integrate_surface(mesh: FlatMesh, surface: ImplicitSurface, f: Callable,
     workers; a given ``batch`` (the mesh's degree-k elements) is integrated
     as the one range, in the calling thread.
     """
-    _check_mode(mode)
-    if batch is not None and (batch.mesh is not mesh or batch.degree != k):
+    if mode not in (MODE_EXACT, MODE_INTERP):
+        raise ValueError(f"unknown integration mode {mode!r}")
+    if batch is not None and (batch.mesh is not mesh or batch.basis.degree != k):
         raise ValueError("batch must hold the degree-k elements of this mesh")
     values = _streamed_values(mesh, surface, f, k, rule, mode, threads, batch)
     return IntegralResult(value=_fsum(values), n_elements=mesh.n_faces,

@@ -9,6 +9,7 @@ import pytest
 
 import surfquad as sq
 from surfquad.cli import build_parser, main
+from surfquad.errors import IntegrationError, OutsideTube
 from surfquad.refmesh import KINDS
 
 from conftest import failing_nodes
@@ -253,6 +254,35 @@ class TestMeshCommand:
             assert code == 0
         assert len(at_first_block) == 2
         assert peaks[1] < 1.25 * peaks[0]
+
+    def test_curved_nodes_end_before_the_failing_range(self, tmp_path, monkeypatch,
+                                                       unit_sphere):
+        # two faces appended to the res-1 octahedron: face 9 walks the edge
+        # from (1, 0, 0) to (-1, 0, 0), whose midpoint, the sphere's centre,
+        # has no closest point.  In ranges 0-3, 3-6 and 6-10 every range is
+        # built, the failure is named, and the file holds the first two
+        # ranges' rows, those of the octahedron's own export
+        base = sq.generate_base(unit_sphere, "octa_sphere", 1)
+        mesh = sq.FlatMesh(base.vertices,
+                           np.vstack([base.faces, [[0, 1, 4], [1, 0, 5]]]))
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 4)
+        built = []
+
+        def build(mesh, surface, k, faces):
+            built.append(faces)
+            return sq.build_surface_elements(mesh, surface, k, faces)
+
+        monkeypatch.setattr(sq.cli, "build_surface_elements", build)
+        csv, whole = tmp_path / "nodes.csv", tmp_path / "whole.csv"
+        with pytest.raises(IntegrationError) as err:
+            sq.cli._write_curved_nodes(mesh, unit_sphere, 2, csv)
+        assert built == [slice(0, 3), slice(3, 6), slice(6, 10)]
+        [(face, sub)] = err.value.failures
+        assert isinstance(sub, OutsideTube) and str(sub).startswith("node 5:")
+        assert face == 9
+        sq.cli._write_curved_nodes(base, unit_sphere, 2, whole)
+        lines = whole.read_bytes().splitlines(keepends=True)
+        assert csv.read_bytes() == b"".join(lines[:1 + 6 * 6])
 
     def test_project_vertices_flag(self, tmp_path):
         out = tmp_path / "proj.off"

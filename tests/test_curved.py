@@ -1,6 +1,8 @@
 import copy
 import math
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,8 @@ import surfquad as sq
 from surfquad import cli
 from surfquad.curved import (_FOLDED, _chart_metric, _chart_points,
                              affine_chart_points, build_surface_elements)
-from surfquad.errors import (DegenerateJacobian, IntegrationError, NoConvergence,
-                             OutsideTube)
+from surfquad.errors import (DegenerateJacobian, DegeneratePoint, IntegrationError,
+                             NoConvergence, OutsideTube)
 from surfquad.quad import MODE_EXACT, _chart_integrals
 from surfquad.refmesh import FlatMesh
 
@@ -387,6 +389,90 @@ class TestFaceRanges:
         monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 3)
         assert sq.curved.face_blocks(7) == [slice(0, 2), slice(2, 4), slice(4, 7)]
         assert sq.curved.face_blocks(0) == []
+
+
+class TestStream:
+    """``stream`` yields each range's task result in range order, runs every
+    task, and raises the projection failures of all ranges together."""
+
+    RANGES = [slice(0, 2), slice(2, 4), slice(4, 7), slice(7, 9)]
+
+    @staticmethod
+    def failure(face, node, outside=False):
+        sub = (OutsideTube("outside", indices=[node]) if outside
+               else NoConvergence(1, 0.5, indices=[node], residuals=[0.5]))
+        return IntegrationError([(face, sub)])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ranges_in_order(self, threads):
+        def task(faces):
+            time.sleep(0.01 * (len(self.RANGES) - faces.start // 2))  # later finish first
+            return faces.stop - faces.start
+
+        got = list(sq.curved.stream(task, self.RANGES, threads))
+        assert got == [(faces, faces.stop - faces.start) for faces in self.RANGES]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_task_runs_after_a_failure(self, threads):
+        # ranges 1 and 3 fail; node 4 fails in both and is named once, at
+        # range 1's face; the failures come in node-id order
+        failing = {2: self.failure(2, 9), 7: self.failure(7, 4)}
+        failing[2].failures.append((3, NoConvergence(1, 0.5, indices=[4])))
+        ran, yielded = [], []
+
+        def task(faces):
+            ran.append(faces)
+            if faces.start in failing:
+                raise failing[faces.start]
+            return faces.start
+
+        with pytest.raises(IntegrationError) as err:
+            for faces, _ in sq.curved.stream(task, self.RANGES, threads):
+                yielded.append(faces)
+        assert sorted(ran, key=lambda s: s.start) == self.RANGES
+        assert yielded == self.RANGES[:1]
+        assert [(face, sub.indices) for face, sub in err.value.failures] == [
+            (3, [4]), (2, [9])]
+        assert err.value.__cause__ is failing[2]
+
+    def test_outside_tube_failures_alone(self):
+        failing = {0: self.failure(0, 5), 4: self.failure(4, 8, outside=True)}
+
+        def task(faces):
+            if faces.start in failing:
+                raise failing[faces.start]
+
+        with pytest.raises(IntegrationError) as err:
+            list(sq.curved.stream(task, self.RANGES))
+        [(face, sub)] = err.value.failures
+        assert (face, sub.indices, type(sub)) == (4, [8], OutsideTube)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_other_exceptions_propagate(self, threads):
+        raised = DegeneratePoint("f is not finite")
+
+        def task(faces):
+            if faces.start == 2:
+                raise raised
+            return faces.start
+
+        with pytest.raises(DegeneratePoint) as err:
+            list(sq.curved.stream(task, self.RANGES, threads))
+        assert err.value is raised
+
+    def test_one_range_runs_in_the_calling_thread(self):
+        def task(faces):
+            return threading.get_ident()
+
+        here = threading.get_ident()
+        assert [t for _, t in sq.curved.stream(task, self.RANGES[:1], 2)] == [here]
+        assert [t for _, t in sq.curved.stream(task, self.RANGES, 1)] == [here] * 4
+        assert here not in {t for _, t in sq.curved.stream(task, self.RANGES, 2)}
+
+    @pytest.mark.parametrize("bad", [0, -3, True, np.True_, 2.5, "2", None])
+    def test_threads_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            list(sq.curved.stream(lambda faces: None, self.RANGES, bad))
 
 
 @pytest.fixture(scope="module", params=[1, 4, 10])

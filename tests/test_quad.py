@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -319,6 +320,24 @@ class TestIntegrateSurface:
                                      3, rule, threads=n).value
                 for n in (1, 2, 4)]
         assert vals[0] == vals[1] == vals[2]
+
+    def test_threads_must_be_a_positive_integer(self, torus21, monkeypatch):
+        # 0, -3, True and 2.5 used to give the one-thread value and "2" a
+        # bare TypeError, streamed or with a given batch
+        monkeypatch.setattr(sq.curved, "_FACE_BLOCK", 64)
+        mesh = sq.bisect(sq.generate_base(torus21, "struct_torus", 1))
+        rule = sq.builtin_rule(12)
+        f = torus21.gauss_curvature
+        batch = build_surface_elements(mesh, torus21, 2)
+        for bad in (0, -3, True, np.True_, 2.5, "2"):
+            for given in (None, batch):
+                with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                    sq.integrate_surface(mesh, torus21, f, 2, rule, threads=bad,
+                                         batch=given)
+        value = sq.integrate_surface(mesh, torus21, f, 2, rule).value
+        for good in (np.int64(2), np.int32(3)):
+            assert sq.integrate_surface(mesh, torus21, f, 2, rule,
+                                        threads=good).value == value
 
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_INTERP])
     def test_traversal_order_independence_six_faces(self, unit_sphere, mode):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -141,6 +142,16 @@ class TestRunConvergence:
         assert rep.rows[2].eoc == pytest.approx(math.log2(10.0), rel=1e-9)
         eocs = [line.rsplit(",", 1)[1] for line in convergence_csv(rep).splitlines()]
         assert eocs[1:3] == ["", ""] and eocs[4] == ""
+
+    def test_threads_must_be_a_positive_integer(self, torus21):
+        for bad in (0, -3, True, 2.5, "2"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                study.run_convergence(torus21, "struct_torus", 1, 2,
+                                      "gauss_curvature", 1, threads=bad)
+        one, two = (study.run_convergence(torus21, "struct_torus", 1, 2,
+                                          "gauss_curvature", 1, threads=t)
+                    for t in (1, np.int64(2)))
+        assert convergence_csv(one) == convergence_csv(two)
 
 
 class TestRunRunge:
